@@ -34,12 +34,10 @@ from .errors import (
     ZeroVector,
 )
 from .linalg import (
-    SvdFull,
+    Svd,
     as_matrix,
     frobenius_norm,
-    matmul,
     qr_orthonormal,
-    spectral_norm_estimate,
     svd,
 )
 from .mmio import read_matrix, write_matrix, write_report_csv
@@ -52,7 +50,6 @@ from .perturbation import (
     ShapeFinding,
     SvdPartition,
     TripletExpansion,
-    closed_form_coefficients,
     compute_projections,
     expand_matrix,
     expand_triplet,
@@ -95,7 +92,7 @@ __all__ = [
     "SingularSystem",
     "SpectrumSpec",
     "SplitMix64",
-    "SvdFull",
+    "Svd",
     "SvdPartition",
     "TripletExpansion",
     "TripletMatchAmbiguous",
@@ -103,7 +100,6 @@ __all__ = [
     "ZeroVector",
     "align_sign",
     "as_matrix",
-    "closed_form_coefficients",
     "compute_projections",
     "convergence_ladder",
     "expand_matrix",
@@ -111,7 +107,6 @@ __all__ = [
     "fit_loglog_slope",
     "fit_report",
     "frobenius_norm",
-    "matmul",
     "matrix_with_spectrum",
     "partition_svd",
     "perturbation_direction",
@@ -120,7 +115,6 @@ __all__ = [
     "residuals_at",
     "shape_audit_as_printed",
     "solve_coupled_system",
-    "spectral_norm_estimate",
     "svd",
     "tall_problem",
     "transpose_dual_expansion",

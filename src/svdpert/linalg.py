@@ -4,12 +4,16 @@ Matrices are plain float64 numpy arrays.  Everything here is deterministic:
 fixed sweep orders, stable sorts, and a fixed sign convention, so repeated
 calls on the same input are bitwise identical.
 
-The SVD is a cyclic one-sided Jacobi: columns of the work matrix are rotated
-pairwise until all mutual Gram entries vanish relative to the column norms.
-It is run on the taller orientation (the input is transposed internally when
-rows < cols) and the left basis is completed to a full square factor, so
-``X = U[:, :r] @ np.diag(S) @ V.T`` with ``r = min(n, p)`` always holds with
-orthonormal square U and V.
+The SVD is a thin cyclic one-sided Jacobi: columns of the work matrix are
+rotated pairwise until all mutual Gram entries vanish relative to the column
+norms.  It is run on the taller orientation (the input is transposed
+internally when rows < cols), so ``X = U @ np.diag(S) @ V.T`` with U n x r,
+V p x r and ``r = min(n, p)``.  No complement of the left basis is built:
+callers that need it use the projector ``I - U U^T`` instead.  The input is
+first scaled by a power of two so that its largest entry lies in [0.5, 1).
+That scaling is exact for every entry that neither is nor becomes
+subnormal, so it changes no bit of U or V, and it keeps the sweeps clear of
+overflow and underflow over the whole double range.
 """
 
 import math
@@ -28,8 +32,12 @@ QR_RANK_TOL = 1e-13
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D float64 array with positive dims and finite entries."""
-    m = np.asarray(a, dtype=float)
+    """Coerce to a 2-D float64 array with positive dims and finite real
+    entries."""
+    m = np.asarray(a)
+    if np.iscomplexobj(m):
+        raise ValueError(f"{name} must be real, got dtype {m.dtype}")
+    m = np.asarray(m, dtype=float)
     if m.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-D, got ndim={m.ndim}")
     if m.shape[0] < 1 or m.shape[1] < 1:
@@ -40,35 +48,25 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SvdFull:
-    """Full decomposition: U is n x n, V is p x p, S holds the min(n, p)
-    singular values in descending order."""
+class Svd:
+    """Thin decomposition of an n x p matrix: S holds the r = min(n, p)
+    singular values in descending order, U is n x r and V is p x r.
+
+    A column whose singular value is exactly 0 is zero in the factor that
+    the Jacobi sweeps did not produce (U when n >= p, V when n < p): no
+    basis is completed for it.  Projectors such as ``I - U U^T`` then
+    carry that direction along with the rest of the complement.
+    """
 
     U: np.ndarray
     S: np.ndarray
     V: np.ndarray
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    A = as_matrix(a, "A")
-    B = as_matrix(b, "B")
-    if A.shape[1] != B.shape[0]:
-        raise DimensionMismatch(
-            f"inner dimensions differ: {A.shape} vs {B.shape}"
-        )
-    return A @ B
-
-
 def frobenius_norm(a) -> float:
     """Square root of the sum of squared entries."""
     A = as_matrix(a, "A")
     return float(np.sqrt(np.sum(A * A)))
-
-
-def spectral_norm_estimate(a) -> float:
-    """Largest singular value (shares the Jacobi kernel's accuracy)."""
-    return float(svd(a).S[0])
 
 
 def _jacobi_sweeps(X: np.ndarray, max_sweeps: int):
@@ -107,31 +105,8 @@ def _jacobi_sweeps(X: np.ndarray, max_sweeps: int):
     )
 
 
-def _complete_basis(U: np.ndarray, empty_slots) -> None:
-    """Fill the zero columns of U (listed in empty_slots, ascending) with an
-    orthonormal extension of the remaining columns.
-
-    Candidates are the coordinate axes; each round picks the axis with the
-    largest residual outside the current span (ties break to the lowest
-    index), which is deterministic and always well conditioned: the residual
-    mass summed over all axes equals the missing dimension count.
-    """
-    n = U.shape[0]
-    filled = [k for k in range(U.shape[1]) if k not in set(empty_slots)]
-    B = U[:, filled] if filled else np.zeros((n, 0))
-    for slot in empty_slots:
-        residual = 1.0 - np.sum(B * B, axis=1)
-        pick = int(np.argmax(residual))
-        v = -B @ B[pick, :]
-        v[pick] += 1.0
-        v -= B @ (B.T @ v)  # one re-orthogonalization pass
-        v /= math.sqrt(float(v @ v))
-        U[:, slot] = v
-        B = np.concatenate([B, v[:, None]], axis=1)
-
-
 def _svd_tall(X: np.ndarray, max_sweeps: int):
-    """Jacobi SVD of a matrix with rows >= cols; returns (U, S, V)."""
+    """Jacobi SVD of a matrix with rows >= cols; returns (U, S, V), thin."""
     n, p = X.shape
     W, V = _jacobi_sweeps(X, max_sweeps)
     norms = np.sqrt(np.sum(W * W, axis=0))
@@ -139,53 +114,42 @@ def _svd_tall(X: np.ndarray, max_sweeps: int):
     S = norms[order]
     W = W[:, order]
     V = V[:, order]
-    U = np.zeros((n, n))
-    empty = []
+    U = np.zeros((n, p))
     for k in range(p):
         if S[k] > 0.0:
             U[:, k] = W[:, k] / S[k]
-        else:
-            empty.append(k)
-    empty.extend(range(p, n))
-    if empty:
-        _complete_basis(U, empty)
     return U, S, V
 
 
-def _normalize_signs(U: np.ndarray, V: np.ndarray, nmin: int) -> None:
+def _normalize_signs(U: np.ndarray, V: np.ndarray) -> None:
     """Fix signs in place: the largest-magnitude entry of each right vector
     is made nonnegative (ties break to the lowest index) and the paired left
-    vector flips with it; unpaired basis columns get the same rule applied
-    to themselves."""
-    for k in range(nmin):
+    vector flips with it."""
+    for k in range(V.shape[1]):
         idx = int(np.argmax(np.abs(V[:, k])))
         if V[idx, k] < 0.0:
             V[:, k] = -V[:, k]
             U[:, k] = -U[:, k]
-    for k in range(nmin, V.shape[1]):
-        idx = int(np.argmax(np.abs(V[:, k])))
-        if V[idx, k] < 0.0:
-            V[:, k] = -V[:, k]
-    for k in range(nmin, U.shape[1]):
-        idx = int(np.argmax(np.abs(U[:, k])))
-        if U[idx, k] < 0.0:
-            U[:, k] = -U[:, k]
 
 
-def svd(x, max_sweeps: int = JACOBI_SWEEP_LIMIT) -> SvdFull:
-    """Full singular value decomposition via one-sided Jacobi.
+def svd(x, max_sweeps: int = JACOBI_SWEEP_LIMIT) -> Svd:
+    """Thin singular value decomposition via one-sided Jacobi.
 
-    Raises ConvergenceFailure if the sweep budget is exhausted (finite
-    inputs converge well within the default limit).
+    The sweeps run on x scaled by 2^-m, where 2^m is the smallest power of
+    two above max |x| (``math.frexp``), and S is scaled back afterwards; an
+    all-zero input has m = 0.  Raises ConvergenceFailure if the sweep
+    budget is exhausted (finite inputs converge well within the default
+    limit).
     """
     X = as_matrix(x, "X")
-    n, p = X.shape
-    if n >= p:
+    _, m = math.frexp(float(np.max(np.abs(X))))
+    X = np.ldexp(X, -m)
+    if X.shape[0] >= X.shape[1]:
         U, S, V = _svd_tall(X, max_sweeps)
     else:
         V, S, U = _svd_tall(X.T, max_sweeps)
-    _normalize_signs(U, V, min(n, p))
-    return SvdFull(U=U, S=S, V=V)
+    _normalize_signs(U, V)
+    return Svd(U=U, S=np.ldexp(S, m), V=V)
 
 
 def _householder_qr(A: np.ndarray):

@@ -1,12 +1,12 @@
 """First-order perturbation of a selected singular triplet.
 
-Let X = U diag(S) V^T be an n x p (n >= p) matrix with a selected triplet
-(sigma1, u1, v1) separated from the rest of the spectrum, and split the
-bases around it: U = (u1, U2, U3), V = (v1, V2), Sigma2 = the remaining
-singular values.  An additive perturbation E moves the triplet, to first
-order in E, to
+Let X = U diag(S) V^T be the thin SVD of an n x p (n >= p) matrix with a
+selected triplet (sigma1, u1, v1) separated from the rest of the spectrum,
+and split the bases around it: U = (u1, U2), V = (v1, V2), Sigma2 = the
+remaining singular values.  An additive perturbation E moves the triplet,
+to first order in E, to
 
-    u~ = u1 + U2 g2 + U3 g3,   v~ = v1 + V2 h2,   sigma~ = sigma1 + theta1,
+    u~ = u1 + U2 g2 + g3,   v~ = v1 + V2 h2,   sigma~ = sigma1 + theta1,
 
 where the coefficients solve the coupled pair
 
@@ -15,28 +15,32 @@ where the coefficients solve the coupled pair
 with projected data
 
     phi1 = u1^T E v1,   f12 = V2^T E^T u1,   f21 = U2^T E v1,
-    f31 = U3^T E v1,    F22 = U2^T E V2,     F32 = U3^T E V2.
+    f31 = (I - Up Up^T) E v1,   Up = (u1, U2).
 
+f31 is the part of E v1 outside the span of the left singular vectors:
+the term the classic form writes as U3 U3^T E v1 for a complement basis
+U3, computed here through the projector so that no basis is needed.
 Eliminating g2 = (f21 + Sigma2 h2) / sigma1 gives the closed forms
 
     h2 = (sigma1^2 I - Sigma2^2)^-1 (sigma1 f12 + Sigma2 f21)
     g2 = (sigma1^2 I - Sigma2^2)^-1 (sigma1 f21 + Sigma2 f12)
 
-together with g3 = f31 / sigma1 and theta1 = phi1.  Expansion vectors are
-deliberately not renormalized: u~ is the perturbed vector in the affine
-chart whose u1-coordinate equals 1, and its norm error is second order.
+together with g3 = f31 / sigma1 (an n-vector) and theta1 = phi1.
+Expansion vectors are deliberately not renormalized: u~ is the perturbed
+vector in the affine chart whose u1-coordinate equals 1, and its norm
+error is second order.
 
 Besides the corrected formulas, the module implements deliberately
 defective variants that reproduce classic transcription mistakes: flipping
 the sign of the cross terms in both numerators (sigma1 f21 - Sigma2 f12,
-sigma1 f12 - Sigma2 f21) and dropping the complement contribution U3 g3
+sigma1 f12 - Sigma2 f21) and dropping the complement contribution g3
 from u~.  Each defect degrades the affected vector from second- to
 first-order accuracy, which the convergence module measures; the related
 dimension audit exposes the two transpose slips (V2 where V2^T belongs)
 that cannot even be formed as matrix products.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -48,7 +52,7 @@ from .errors import (
     InvalidDims,
     SingularSystem,
 )
-from .linalg import SvdFull, as_matrix, svd
+from .linalg import Svd, as_matrix, svd
 
 # Relative spectral-separation tolerance: a triplet closer than this to any
 # other singular value (sigma_max-relative) is rejected.
@@ -60,7 +64,7 @@ class FormulaVariant(Enum):
 
     CORRECTED is the true expansion; the others reproduce specific defects:
     SIGN_FLIPPED negates the cross terms of both closed-form numerators,
-    U3_OMITTED drops the complement term U3 g3 from u~, and BOTH_DEFECTS
+    U3_OMITTED drops the complement term g3 from u~, and BOTH_DEFECTS
     combines the two.
     """
 
@@ -80,11 +84,10 @@ class FormulaVariant(Enum):
 
 @dataclass(frozen=True)
 class SvdPartition:
-    """A full SVD split around the selected triplet (1-based index k).
+    """A thin SVD split around the selected triplet (1-based index k).
 
     u1/v1/sigma1 are the selected triplet; U2/V2/Sigma2 hold the other p-1
-    triplets in descending order; U3 holds the n-p left complement columns
-    (zero width when n == p).
+    triplets in descending order.
     """
 
     k: int
@@ -94,7 +97,6 @@ class SvdPartition:
     Sigma2: np.ndarray
     U2: np.ndarray
     V2: np.ndarray
-    U3: np.ndarray
 
     @property
     def n(self) -> int:
@@ -104,23 +106,29 @@ class SvdPartition:
     def p(self) -> int:
         return self.v1.shape[0]
 
+    @property
+    def has_complement(self) -> bool:
+        """Whether (u1, U2) leaves part of R^n uncovered: n > p, or a column
+        of U2 is zero because its singular value is exactly 0."""
+        return self.n > self.p or not self.Sigma2.all()
+
 
 @dataclass(frozen=True)
 class Projections:
     """E projected onto the partition's bases (the data the corrections
-    are built from).  All fields vanish when E = 0."""
+    are built from).  f31 is the n-vector (I - Up Up^T) E v1, all zero when
+    the partition has no complement.  All fields vanish when E = 0."""
 
     phi1: float
     f12: np.ndarray
     f21: np.ndarray
     f31: np.ndarray
-    F22: np.ndarray
-    F32: np.ndarray
 
 
 @dataclass(frozen=True)
 class CorrectionCoefficients:
-    """First-order coefficients of the triplet expansion."""
+    """First-order coefficients of the triplet expansion; g3 = f31 / sigma1
+    is an n-vector."""
 
     g2: np.ndarray
     g3: np.ndarray
@@ -130,12 +138,16 @@ class CorrectionCoefficients:
 
 @dataclass(frozen=True)
 class TripletExpansion:
-    """Assembled first-order prediction for the perturbed triplet."""
+    """Assembled first-order prediction for the perturbed triplet, with the
+    projections and coefficients it was built from (those belong to the
+    taller-or-square orientation, also when u~ and v~ were swapped back)."""
 
     u_tilde: np.ndarray
     v_tilde: np.ndarray
     sigma_tilde: float
     variant: FormulaVariant
+    projections: Projections
+    coefficients: CorrectionCoefficients
 
 
 @dataclass(frozen=True)
@@ -158,7 +170,7 @@ class ShapeAuditReport:
     findings: tuple
 
 
-def triplet_gap(full: SvdFull, k: int) -> float:
+def triplet_gap(full: Svd, k: int) -> float:
     """Absolute spectral separation of the k-th singular value.
 
     Measures the distance to every other singular value; when n > p the
@@ -194,8 +206,8 @@ def tall_problem(X, E):
     return Xm.T, Em.T, True
 
 
-def partition_svd(full: SvdFull, k: int) -> SvdPartition:
-    """Split a full SVD (taller-or-square orientation) around triplet k.
+def partition_svd(full: Svd, k: int) -> SvdPartition:
+    """Split a thin SVD (taller-or-square orientation) around triplet k.
 
     Raises GapTooSmall when the separation of sigma_k (including the zero
     spectrum of the complement when n > p) falls at or below GAP_TOL
@@ -222,28 +234,31 @@ def partition_svd(full: SvdFull, k: int) -> SvdPartition:
         u1=full.U[:, k - 1].copy(),
         v1=full.V[:, k - 1].copy(),
         Sigma2=S[keep].copy(),
-        U2=full.U[:, :p][:, keep].copy(),
+        U2=full.U[:, keep].copy(),
         V2=full.V[:, keep].copy(),
-        U3=full.U[:, p:].copy(),
     )
 
 
 def compute_projections(part: SvdPartition, E) -> Projections:
-    """Project E onto the partition's bases."""
+    """Project E onto the partition's bases; f31 = E v1 - Up (Up^T E v1)
+    is computed only when the partition has a complement."""
     Em = as_matrix(E, "E")
     if Em.shape != (part.n, part.p):
         raise DimensionMismatch(
             f"E must be {part.n}x{part.p}, got {Em.shape[0]}x{Em.shape[1]}"
         )
     Ev1 = Em @ part.v1
-    Etu1 = Em.T @ part.u1
+    phi1 = float(part.u1 @ Ev1)
+    f21 = part.U2.T @ Ev1
+    if part.has_complement:
+        f31 = Ev1 - part.u1 * phi1 - part.U2 @ f21
+    else:
+        f31 = np.zeros(part.n)
     return Projections(
-        phi1=float(part.u1 @ Ev1),
-        f12=part.V2.T @ Etu1,
-        f21=part.U2.T @ Ev1,
-        f31=part.U3.T @ Ev1,
-        F22=part.U2.T @ Em @ part.V2,
-        F32=part.U3.T @ Em @ part.V2,
+        phi1=phi1,
+        f12=part.V2.T @ (Em.T @ part.u1),
+        f21=f21,
+        f31=f31,
     )
 
 
@@ -274,38 +289,28 @@ def solve_coupled_system(part: SvdPartition, proj: Projections):
     return sol[:m], sol[m:]
 
 
-def closed_form_coefficients(
-    part: SvdPartition, proj: Projections
+def variant_coefficients(
+    part: SvdPartition, proj: Projections, variant: FormulaVariant
 ) -> CorrectionCoefficients:
-    """Corrected closed-form coefficients.
+    """Closed-form coefficients for any variant.
 
-    h2 = (sigma1^2 I - Sigma2^2)^-1 (sigma1 f12 + Sigma2 f21)
-    g2 = (sigma1^2 I - Sigma2^2)^-1 (sigma1 f21 + Sigma2 f12)
-    g3 = f31 / sigma1,  theta1 = phi1.
+    h2 = (sigma1^2 I - Sigma2^2)^-1 (sigma1 f12 +- Sigma2 f21)
+    g2 = (sigma1^2 I - Sigma2^2)^-1 (sigma1 f21 +- Sigma2 f12)
+    g3 = f31 / sigma1,  theta1 = phi1,
+
+    with the minus sign (negated cross terms) for sign-flipped variants.
+    Complement omission is an assembly-time defect and leaves the
+    coefficients untouched.
     """
     denom = part.sigma1**2 - part.Sigma2**2
     if np.any(np.abs(denom) <= (GAP_TOL * part.sigma1) ** 2):
         worst = float(np.min(np.abs(denom)))
         raise GapTooSmall(part.k, worst)
-    g2 = (part.sigma1 * proj.f21 + part.Sigma2 * proj.f12) / denom
-    h2 = (part.sigma1 * proj.f12 + part.Sigma2 * proj.f21) / denom
+    cross = -part.Sigma2 if variant.flips_cross_sign else part.Sigma2
+    g2 = (part.sigma1 * proj.f21 + cross * proj.f12) / denom
+    h2 = (part.sigma1 * proj.f12 + cross * proj.f21) / denom
     g3 = proj.f31 / part.sigma1
     return CorrectionCoefficients(g2=g2, g3=g3, h2=h2, theta1=proj.phi1)
-
-
-def variant_coefficients(
-    part: SvdPartition, proj: Projections, variant: FormulaVariant
-) -> CorrectionCoefficients:
-    """Coefficients for any variant; sign-flipped ones negate the cross
-    terms of both numerators.  Complement omission is an assembly-time
-    defect and leaves the coefficients untouched."""
-    base = closed_form_coefficients(part, proj)
-    if not variant.flips_cross_sign:
-        return base
-    denom = part.sigma1**2 - part.Sigma2**2
-    g2 = (part.sigma1 * proj.f21 - part.Sigma2 * proj.f12) / denom
-    h2 = (part.sigma1 * proj.f12 - part.Sigma2 * proj.f21) / denom
-    return CorrectionCoefficients(g2=g2, g3=base.g3, h2=h2, theta1=base.theta1)
 
 
 def expand_triplet(
@@ -313,20 +318,23 @@ def expand_triplet(
 ) -> TripletExpansion:
     """Assemble the first-order triplet prediction for the given variant.
 
-    Vectors are not renormalized.  When n == p the complement is empty and
-    CORRECTED / U3_OMITTED coincide exactly (same float operations).
+    Vectors are not renormalized.  Without a complement (n == p and no zero
+    singular value) the g3 term is skipped, so CORRECTED / U3_OMITTED
+    coincide exactly (same float operations).
     """
     proj = compute_projections(part, E)
     co = variant_coefficients(part, proj, variant)
     u = part.u1 + part.U2 @ co.g2
-    if part.U3.shape[1] and not variant.omits_complement:
-        u = u + part.U3 @ co.g3
+    if part.has_complement and not variant.omits_complement:
+        u = u + co.g3
     v = part.v1 + part.V2 @ co.h2
     return TripletExpansion(
         u_tilde=u,
         v_tilde=v,
         sigma_tilde=part.sigma1 + co.theta1,
         variant=variant,
+        projections=proj,
+        coefficients=co,
     )
 
 
@@ -342,12 +350,7 @@ def expand_matrix(
     part = partition_svd(svd(Xo), k)
     exp = expand_triplet(part, Eo, variant)
     if swapped:
-        return TripletExpansion(
-            u_tilde=exp.v_tilde,
-            v_tilde=exp.u_tilde,
-            sigma_tilde=exp.sigma_tilde,
-            variant=variant,
-        )
+        return replace(exp, u_tilde=exp.v_tilde, v_tilde=exp.u_tilde)
     return exp
 
 
@@ -361,12 +364,7 @@ def transpose_dual_expansion(X, E, k: int = 1) -> TripletExpansion:
     Xm = as_matrix(X, "X")
     Em = as_matrix(E, "E")
     dual = expand_matrix(Xm.T, Em.T, k, FormulaVariant.CORRECTED)
-    return TripletExpansion(
-        u_tilde=dual.v_tilde,
-        v_tilde=dual.u_tilde,
-        sigma_tilde=dual.sigma_tilde,
-        variant=FormulaVariant.CORRECTED,
-    )
+    return replace(dual, u_tilde=dual.v_tilde, v_tilde=dual.u_tilde)
 
 
 def shape_audit_as_printed(n: int, p: int) -> ShapeAuditReport:

@@ -18,6 +18,7 @@ on any platform or runtime, independent of library versions:
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +35,15 @@ _TWO53 = float(1 << 53)
 MAX_SPECTRUM_ATTEMPTS = 3
 
 
+def _is_int(v) -> bool:
+    """Python or numpy integer; bool is rejected although it subclasses int."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 def _check_seed(seed: int) -> int:
-    if not isinstance(seed, int) or not 0 <= seed < (1 << 64):
+    if not _is_int(seed) or not 0 <= seed < (1 << 64):
         raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
-    return seed
+    return int(seed)
 
 
 class SplitMix64:
@@ -53,10 +59,6 @@ class SplitMix64:
         z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
-
-    def next_uniform(self) -> float:
-        """Uniform double in [0, 1)."""
-        return (self.next_u64() >> 11) / _TWO53
 
     def next_normal(self) -> float:
         """Standard normal via Box-Muller with spare caching."""
@@ -88,8 +90,10 @@ class SpectrumSpec:
     seed: int
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and isinstance(self.p, int)):
+        if not (_is_int(self.n) and _is_int(self.p)):
             raise ValueError("dims must be integers")
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "p", int(self.p))
         if not self.n >= self.p >= 1:
             raise ValueError(f"need n >= p >= 1, got n={self.n}, p={self.p}")
         sv = tuple(float(v) for v in self.singular_values)
@@ -102,18 +106,7 @@ class SpectrumSpec:
             raise ValueError("singular values must be in descending order")
         if self.p >= 2 and sv[0] > 0.0 and sv[0] == sv[1]:
             raise ValueError("leading pair must be strictly separated")
-        _check_seed(self.seed)
-
-    @property
-    def leading_gap(self) -> float:
-        """Relative separation (s1 - s2) / s1; inf for p == 1, 0 for an
-        all-zero spectrum."""
-        if self.p == 1:
-            return math.inf
-        s = self.singular_values
-        if s[0] == 0.0:
-            return 0.0
-        return (s[0] - s[1]) / s[0]
+        object.__setattr__(self, "seed", _check_seed(self.seed))
 
 
 def matrix_with_spectrum(spec: SpectrumSpec) -> np.ndarray:

@@ -99,9 +99,9 @@ def test_expand_hand_case(tmp_path):
     assert v == [1.0, 5e-4]
     assert [float(t) for t in kv["g2"].split()] == [5e-4]
     assert [float(t) for t in kv["h2"].split()] == [5e-4]
-    # empty complement: f31 and g3 print as bare keys, F32 is 0 x 1
-    assert kv["f31"] == "" and kv["g3"] == ""
-    assert kv["F32"].startswith("0 ")
+    # square input: no complement, so both norms are exactly zero
+    assert float(kv["f31_norm"]) == 0.0 and float(kv["g3_norm"]) == 0.0
+    assert not {"f31", "g3", "F22", "F32"} & kv.keys()
 
 
 def test_expand_wide_input_reports_transposed(tmp_path):
@@ -115,6 +115,10 @@ def test_expand_wide_input_reports_transposed(tmp_path):
     assert kv["transposed"] == "yes"
     assert len(kv["u_tilde"].split()) == 2
     assert len(kv["v_tilde"].split()) == 3
+    # the transposed problem is 3x2, so E reaches its complement
+    f31_norm, g3_norm = float(kv["f31_norm"]), float(kv["g3_norm"])
+    assert f31_norm > 0.0
+    assert abs(g3_norm - f31_norm / float(kv["sigma1"])) <= 1e-14 * g3_norm
 
 
 def test_expand_variant_flag(tmp_path):

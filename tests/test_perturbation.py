@@ -8,6 +8,8 @@ exact decomposition of the perturbed matrix, and algebraic identities
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import make_instance
 
@@ -43,15 +45,19 @@ def test_partition_square_diag():
     assert np.array_equal(part.Sigma2, np.array([2.0, 1.0]))
     assert np.array_equal(part.U2, np.eye(3)[:, 1:])
     assert np.array_equal(part.V2, np.eye(3)[:, 1:])
-    assert part.U3.shape == (3, 0)
+    assert not part.has_complement
     assert part.n == 3 and part.p == 3
 
 
 def test_partition_tall_has_left_complement():
     x = diag_embedded([3.0, 2.0, 1.0], 5)
     part = sp.partition_svd(sp.svd(x), 1)
-    assert part.U3.shape == (5, 2)
-    assert np.array_equal(part.U3, np.eye(5)[:, 3:])
+    assert part.has_complement
+    assert part.U2.shape == (5, 2)
+    # the complement of span(e1, e2, e3) keeps exactly the last two rows
+    e = np.arange(1.0, 16.0).reshape(5, 3)
+    proj = sp.compute_projections(part, e)
+    assert np.array_equal(proj.f31, np.array([0.0, 0.0, 0.0, 10.0, 13.0]))
 
 
 def test_partition_interior_triplet():
@@ -63,7 +69,7 @@ def test_partition_interior_triplet():
 
 
 def test_partition_gap_too_small():
-    full = sp.SvdFull(U=np.eye(3), S=np.array([3.0, 3.0 - 1e-10, 1.0]), V=np.eye(3))
+    full = sp.Svd(U=np.eye(3), S=np.array([3.0, 3.0 - 1e-10, 1.0]), V=np.eye(3))
     with pytest.raises(GapTooSmall) as exc:
         sp.partition_svd(full, 1)
     assert exc.value.k == 1
@@ -72,7 +78,7 @@ def test_partition_gap_too_small():
 
 def test_partition_zero_triplet_rejected():
     # sigma_k = 0 is never expandable even when separated
-    full = sp.SvdFull(U=np.eye(3), S=np.array([3.0, 1.0, 0.0]), V=np.eye(3))
+    full = sp.Svd(U=np.eye(3), S=np.array([3.0, 1.0, 0.0]), V=np.eye(3))
     with pytest.raises(GapTooSmall):
         sp.partition_svd(full, 3)
 
@@ -113,8 +119,7 @@ def test_projections_hand_case():
     assert proj.phi1 == 0.0
     assert np.array_equal(proj.f12, np.array([DELTA]))
     assert np.array_equal(proj.f21, np.array([DELTA]))
-    assert proj.f31.shape == (0,)
-    assert np.array_equal(proj.F22, np.array([[0.0]]))
+    assert np.array_equal(proj.f31, np.zeros(2))
 
 
 def test_projections_rank_one_alignment():
@@ -124,7 +129,6 @@ def test_projections_rank_one_alignment():
     assert proj.phi1 == 1.0
     assert np.all(proj.f12 == 0.0)
     assert np.all(proj.f21 == 0.0)
-    assert np.all(proj.F22 == 0.0)
 
 
 def test_projections_zero_perturbation():
@@ -134,7 +138,6 @@ def test_projections_zero_perturbation():
     assert proj.phi1 == 0.0
     assert np.all(proj.f12 == 0.0) and np.all(proj.f21 == 0.0)
     assert np.all(proj.f31 == 0.0)
-    assert np.all(proj.F22 == 0.0) and np.all(proj.F32 == 0.0)
 
 
 def test_projections_shape_check():
@@ -157,12 +160,12 @@ def test_coupled_solve_hand_case():
 def test_closed_form_hand_case_is_exact():
     part = sp.partition_svd(sp.svd(np.diag([3.0, 1.0])), 1)
     proj = sp.compute_projections(part, np.array([[0.0, DELTA], [DELTA, 0.0]]))
-    co = sp.closed_form_coefficients(part, proj)
+    co = sp.variant_coefficients(part, proj, FormulaVariant.CORRECTED)
     # (3 delta + 1 delta) / (9 - 1) = delta / 2: exact in floats
     assert co.g2[0] == DELTA / 2
     assert co.h2[0] == DELTA / 2
     assert co.theta1 == 0.0
-    assert co.g3.shape == (0,)
+    assert np.array_equal(co.g3, np.zeros(2))
 
 
 def test_sign_flip_variant_hand_case():
@@ -181,7 +184,7 @@ def test_closed_form_matches_direct_solve_seeded():
         x, e = make_instance(6 + seed % 3, 4, 100 + seed)
         part = sp.partition_svd(sp.svd(x), 1)
         proj = sp.compute_projections(part, 1e-3 * e)
-        co = sp.closed_form_coefficients(part, proj)
+        co = sp.variant_coefficients(part, proj, FormulaVariant.CORRECTED)
         g2, h2 = sp.solve_coupled_system(part, proj)
         scale = max(float(np.linalg.norm(np.concatenate([g2, h2]))), 1e-30)
         diff = float(
@@ -194,7 +197,7 @@ def test_coefficients_satisfy_coupled_equations():
     x, e = make_instance(7, 5, 31)
     part = sp.partition_svd(sp.svd(x), 1)
     proj = sp.compute_projections(part, e)
-    co = sp.closed_form_coefficients(part, proj)
+    co = sp.variant_coefficients(part, proj, FormulaVariant.CORRECTED)
     lhs1 = part.sigma1 * co.g2 - part.Sigma2 * co.h2
     lhs2 = part.sigma1 * co.h2 - part.Sigma2 * co.g2
     assert np.all(np.abs(lhs1 - proj.f21) <= 1e-14)
@@ -211,18 +214,16 @@ def test_closed_form_degenerate_denominator_guard():
         Sigma2=np.array([3.0]),
         U2=np.eye(3)[:, 1:2],
         V2=np.eye(2)[:, 1:2],
-        U3=np.eye(3)[:, 2:],
     )
     proj = sp.Projections(
         phi1=0.0,
         f12=np.array([1.0]),
         f21=np.array([1.0]),
-        f31=np.array([0.0]),
-        F22=np.zeros((1, 1)),
-        F32=np.zeros((1, 1)),
+        f31=np.zeros(3),
     )
-    with pytest.raises(GapTooSmall):
-        sp.closed_form_coefficients(part, proj)
+    for variant in FormulaVariant:
+        with pytest.raises(GapTooSmall):
+            sp.variant_coefficients(part, proj, variant)
     with pytest.raises(SingularSystem):
         sp.solve_coupled_system(part, proj)
 
@@ -283,8 +284,11 @@ def test_expand_3x2_defect_residual_is_first_order():
 def test_expansion_is_linear_in_perturbation():
     x, e = make_instance(6, 4, 8)
     part = sp.partition_svd(sp.svd(x), 1)
-    half = sp.closed_form_coefficients(part, sp.compute_projections(part, 0.5 * e))
-    full = sp.closed_form_coefficients(part, sp.compute_projections(part, e))
+    corrected = FormulaVariant.CORRECTED
+    half = sp.variant_coefficients(
+        part, sp.compute_projections(part, 0.5 * e), corrected
+    )
+    full = sp.variant_coefficients(part, sp.compute_projections(part, e), corrected)
     # halving E halves every coefficient bitwise (power-of-two scaling)
     assert np.array_equal(full.g2, 2.0 * half.g2)
     assert np.array_equal(full.h2, 2.0 * half.h2)
@@ -348,6 +352,76 @@ def test_transpose_dual_agrees_on_squares():
         assert float(np.linalg.norm(u - direct.u_tilde)) <= 1e-12
         assert float(np.linalg.norm(v - direct.v_tilde)) <= 1e-12
         assert abs(dual.sigma_tilde - direct.sigma_tilde) <= 1e-12
+
+
+def full_basis_oracle(x, e, k):
+    """Corrected expansion of triplet k built from LAPACK's full SVD, with
+    the complement term in its printed form U3 U3^T E v1 / sigma1.
+
+    A zero singular value sits in U2 with an arbitrary LAPACK vector; its
+    g2 and h2 terms do not depend on that vector's sign, nor does U3 U3^T.
+    """
+    swapped = x.shape[0] < x.shape[1]
+    if swapped:
+        x, e = x.T, e.T
+    p = x.shape[1]
+    U, S, Vt = np.linalg.svd(x, full_matrices=True)
+    keep = np.arange(p) != k - 1
+    u1, v1, s1 = U[:, k - 1], Vt[k - 1], S[k - 1]
+    U2, V2, S2, U3 = U[:, :p][:, keep], Vt[keep].T, S[keep], U[:, p:]
+    Ev1 = e @ v1
+    f21, f12 = U2.T @ Ev1, V2.T @ (e.T @ u1)
+    denom = s1**2 - S2**2
+    u = u1 + U2 @ ((s1 * f21 + S2 * f12) / denom) + U3 @ (U3.T @ Ev1) / s1
+    v = v1 + V2 @ ((s1 * f12 + S2 * f21) / denom)
+    sigma = s1 + float(u1 @ Ev1)
+    return (sigma, v, u) if swapped else (sigma, u, v)
+
+
+def oracle_cases(seed):
+    """Seeded (X, E_dir, k) for tall, wide, p = 1, k = p, and tall and
+    square inputs with an exactly zero singular value."""
+    tall, tall_e = make_instance(7, 3, seed)
+    x, e = make_instance(6, 4, seed)
+    column, column_e = make_instance(5, 1, seed)
+    deficient = diag_embedded([3.0, 2.0, 0.0], 5)
+    return [
+        (tall, tall_e, 1 + seed % 3),
+        (x.T, e.T, 1 + seed % 4),
+        (column, column_e, 1),
+        (x, e, 4),
+        (deficient, sp.perturbation_direction(5, 3, seed), 1 + seed % 2),
+        (deficient[:3], sp.perturbation_direction(3, 3, seed), 1 + seed % 2),
+    ]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_expand_matches_full_basis_oracle(seed):
+    for x, e_dir, k in oracle_cases(seed):
+        e = 1e-3 * e_dir
+        exp = sp.expand_matrix(x, e, k)
+        sigma_o, u_o, v_o = full_basis_oracle(x, e, k)
+        # (u~, v~) is defined up to one joint sign; align the oracle to v~
+        if float(exp.v_tilde @ v_o) < 0.0:
+            u_o, v_o = -u_o, -v_o
+        assert abs(exp.sigma_tilde - sigma_o) <= 1e-12 * abs(sigma_o)
+        assert np.linalg.norm(exp.u_tilde - u_o) <= 1e-12 * np.linalg.norm(u_o)
+        assert np.linalg.norm(exp.v_tilde - v_o) <= 1e-12 * np.linalg.norm(v_o)
+
+
+def test_expand_triplet_returns_its_projections_and_coefficients():
+    x, e = make_instance(6, 3, 11)
+    part = sp.partition_svd(sp.svd(x), 1)
+    exp = sp.expand_triplet(part, 1e-3 * e, FormulaVariant.SIGN_FLIPPED)
+    proj = sp.compute_projections(part, 1e-3 * e)
+    co = sp.variant_coefficients(part, proj, FormulaVariant.SIGN_FLIPPED)
+    for name in ("f12", "f21", "f31"):
+        assert np.array_equal(getattr(exp.projections, name), getattr(proj, name))
+    for name in ("g2", "g3", "h2"):
+        assert np.array_equal(getattr(exp.coefficients, name), getattr(co, name))
+    assert exp.projections.phi1 == proj.phi1
+    assert exp.coefficients.theta1 == co.theta1
 
 
 # ------------------------------------------------------------- shape audit

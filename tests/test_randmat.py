@@ -44,13 +44,6 @@ def test_stream_seed_zero_known_vector():
     assert gen.next_u64() == 0x06C45D188009454F
 
 
-def test_uniform_unit_interval():
-    gen = sp.SplitMix64(99)
-    draws = [gen.next_uniform() for _ in range(2000)]
-    assert all(0.0 <= d < 1.0 for d in draws)
-    assert abs(sum(draws) / len(draws) - 0.5) < 0.05
-
-
 def test_normal_pair_matches_reference_arithmetic():
     # replay the documented Box-Muller consumption by hand
     seed = 123
@@ -86,18 +79,22 @@ def test_normal_matrix_fills_column_major():
 
 def test_spectrum_spec_accepts_valid():
     spec = sp.SpectrumSpec(n=4, p=3, singular_values=(3.0, 2.0, 1.0), seed=0)
-    # leading_gap is sigma1-relative
-    assert spec.leading_gap == (3.0 - 2.0) / 3.0
+    assert spec.singular_values == (3.0, 2.0, 1.0)
+    # numpy integers count as integers and are stored as Python ints
+    spec = sp.SpectrumSpec(n=np.int64(4), p=np.int32(3),
+                           singular_values=(3.0, 2.0, 1.0), seed=np.uint64(5))
+    assert (spec.n, spec.p, spec.seed) == (4, 3, 5)
+    assert all(type(v) is int for v in (spec.n, spec.p, spec.seed))
 
 
 def test_spectrum_spec_single_value_gap_is_infinite():
     spec = sp.SpectrumSpec(n=3, p=1, singular_values=(2.0,), seed=0)
-    assert spec.leading_gap == math.inf
+    assert spec.singular_values == (2.0,)
 
 
 def test_spectrum_spec_all_zero_allowed():
     spec = sp.SpectrumSpec(n=3, p=2, singular_values=(0.0, 0.0), seed=0)
-    assert spec.leading_gap == 0.0
+    assert spec.singular_values == (0.0, 0.0)
 
 
 def test_spectrum_spec_rejections():
@@ -115,6 +112,13 @@ def test_spectrum_spec_rejections():
         sp.SpectrumSpec(n=3, p=2, singular_values=(3.0, math.nan), seed=0)
     with pytest.raises(ValueError):
         sp.SpectrumSpec(n=3, p=2, singular_values=(3.0, 1.0), seed=-1)
+    # bool subclasses int but is not accepted as a seed or a dim
+    with pytest.raises(ValueError):
+        sp.SpectrumSpec(n=3, p=2, singular_values=(3.0, 1.0), seed=True)
+    with pytest.raises(ValueError):
+        sp.SpectrumSpec(n=3, p=True, singular_values=(3.0,), seed=0)
+    with pytest.raises(ValueError):
+        sp.SplitMix64(True)
 
 
 # ------------------------------------------------------------ seeded factory
