@@ -15,6 +15,7 @@ from .convergence import (
     ResidualSample,
     align_sign,
     convergence_ladder,
+    convergence_ladders,
     fit_loglog_slope,
     fit_report,
     residuals_at,
@@ -102,6 +103,7 @@ __all__ = [
     "as_matrix",
     "compute_projections",
     "convergence_ladder",
+    "convergence_ladders",
     "expand_matrix",
     "expand_triplet",
     "fit_loglog_slope",

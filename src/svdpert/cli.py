@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .convergence import convergence_ladder
+from .convergence import convergence_ladder, convergence_ladders
 from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
@@ -232,13 +232,12 @@ def _cmd_errata(args) -> int:
     X = matrix_with_spectrum(spec)
     E = perturbation_direction(n, p, (seed + 1) & _MASK64)
 
-    corrected = convergence_ladder(X, E, variant=FormulaVariant.CORRECTED)
-    flipped = convergence_ladder(X, E, variant=FormulaVariant.SIGN_FLIPPED)
-    omitted = (
-        convergence_ladder(X, E, variant=FormulaVariant.U3_OMITTED)
-        if n > p
-        else None
-    )
+    # one shared ladder; the dropped complement only shows when n > p
+    corrected, flipped, omitted = convergence_ladders(X, E, (
+        FormulaVariant.CORRECTED,
+        FormulaVariant.SIGN_FLIPPED,
+        FormulaVariant.U3_OMITTED,
+    ))
     audit = shape_audit_as_printed(n, p)
     by_item = {f.errata_item: f for f in audit.findings}
     expected_findings = 3 if n > p else 2
@@ -277,7 +276,7 @@ def _cmd_errata(args) -> int:
     rows.append(row)
     confirmations.append(ok)
 
-    if omitted is not None:
+    if n > p:
         row, ok = order_row(
             3, "u_tilde", "complement term dropped after 1/sigma1 in the u correction",
             "order_u", corrected.order_u, omitted.order_u,

@@ -14,6 +14,10 @@ rescale also makes the comparison sign-proof.  Exact triplets are tracked
 across the perturbation by the largest right-vector overlap; an overlap
 below MATCH_TOL means the perturbation is too large to track and raises
 TripletMatchAmbiguous.
+
+A ladder decomposes the unperturbed matrix once and each rung's perturbed
+matrix once, warm-started from the unperturbed right vectors, and scores
+every requested variant against that one exact decomposition.
 """
 
 import math
@@ -27,7 +31,7 @@ from .errors import (
     TripletMatchAmbiguous,
     ZeroVector,
 )
-from .linalg import frobenius_norm, svd
+from .linalg import Svd, frobenius_norm, svd
 from .perturbation import (
     FormulaVariant,
     expand_triplet,
@@ -116,6 +120,54 @@ def _gauge(exact: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return exact / c
 
 
+def _check_unit(Eo: np.ndarray) -> None:
+    nrm = frobenius_norm(Eo)
+    if abs(nrm - 1.0) > 1e-8:
+        raise ValueError(f"direction must have unit Frobenius norm, got {nrm}")
+
+
+def _score_rung(problem, full: Svd, part, epsilon: float, variants) -> tuple:
+    """Residuals of each variant's prediction at one perturbation size, all
+    scored against one exact decomposition; one ResidualSample per variant.
+
+    problem is tall_problem's (Xo, Eo, swapped), full the decomposition of
+    Xo and part its partition.  The exact decomposition of
+    Xo + epsilon * Eo is warm-started: Jacobi runs on
+    (Xo + epsilon * Eo) V0 with V0 = full.V, whose columns are already
+    nearly orthogonal, and V = V0 V1.  At epsilon = 0 it is full itself.
+    The k-th triplet is tracked by the largest right-vector overlap with
+    the unperturbed one and the exact vectors are rescaled into the
+    prediction's affine chart.
+    """
+    Xo, Eo, swapped = problem
+    dE = epsilon * Eo
+    if epsilon == 0.0:
+        exact = full
+    else:
+        warm = svd((Xo + dE) @ full.V)
+        exact = Svd(U=warm.U, S=warm.S, V=full.V @ warm.V)
+    overlaps = exact.V.T @ part.v1
+    j = int(np.argmax(np.abs(overlaps)))
+    if abs(float(overlaps[j])) < MATCH_TOL:
+        raise TripletMatchAmbiguous(abs(float(overlaps[j])), MATCH_TOL)
+    u_exact = _gauge(exact.U[:, j], part.u1)
+    v_exact = exact.V[:, j] / float(overlaps[j])
+    samples = []
+    for variant in variants:
+        pred = expand_triplet(part, dE, variant)
+        res_u = float(np.linalg.norm(u_exact - pred.u_tilde))
+        res_v = float(np.linalg.norm(v_exact - pred.v_tilde))
+        if swapped:
+            res_u, res_v = res_v, res_u
+        samples.append(ResidualSample(
+            epsilon=float(epsilon),
+            res_u=res_u,
+            res_v=res_v,
+            res_sigma=abs(float(exact.S[j]) - pred.sigma_tilde),
+        ))
+    return tuple(samples)
+
+
 def residuals_at(
     X,
     E_dir,
@@ -133,27 +185,11 @@ def residuals_at(
     """
     if not (math.isfinite(epsilon) and epsilon >= 0.0):
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
-    Xo, Eo, swapped = tall_problem(X, E_dir)
-    nrm = frobenius_norm(Eo)
-    if abs(nrm - 1.0) > 1e-8:
-        raise ValueError(f"direction must have unit Frobenius norm, got {nrm}")
-    part = partition_svd(svd(Xo), k)
-    pred = expand_triplet(part, epsilon * Eo, variant)
-    exact = svd(Xo + epsilon * Eo)
-    overlaps = exact.V.T @ part.v1
-    j = int(np.argmax(np.abs(overlaps)))
-    if abs(float(overlaps[j])) < MATCH_TOL:
-        raise TripletMatchAmbiguous(abs(float(overlaps[j])), MATCH_TOL)
-    u_exact = _gauge(exact.U[:, j], part.u1)
-    v_exact = exact.V[:, j] / float(overlaps[j])
-    res_u = float(np.linalg.norm(u_exact - pred.u_tilde))
-    res_v = float(np.linalg.norm(v_exact - pred.v_tilde))
-    res_sigma = abs(float(exact.S[j]) - pred.sigma_tilde)
-    if swapped:
-        res_u, res_v = res_v, res_u
-    return ResidualSample(
-        epsilon=float(epsilon), res_u=res_u, res_v=res_v, res_sigma=res_sigma
-    )
+    problem = tall_problem(X, E_dir)
+    _check_unit(problem[1])
+    full = svd(problem[0])
+    part = partition_svd(full, k)
+    return _score_rung(problem, full, part, epsilon, (variant,))[0]
 
 
 def fit_loglog_slope(epsilons, residuals):
@@ -175,20 +211,28 @@ def fit_loglog_slope(epsilons, residuals):
     return float(slope), float(r2)
 
 
-def fit_report(variant: FormulaVariant, samples) -> ConvergenceReport:
+def fit_report(
+    variant: FormulaVariant, samples, sigma_max: float = 1.0
+) -> ConvergenceReport:
     """Fit per-metric orders over a residual ladder.
 
-    Samples at or below FLOOR_TOL are excluded per metric; fewer than 3
-    survivors for any metric raises InsufficientSamples.
+    Samples in the noise floor are excluded per metric: res_u and res_v
+    are unit-free and floored at FLOOR_TOL, while res_sigma carries the
+    units of X and is floored at FLOOR_TOL * sigma_max, the largest
+    singular value of X, so the fit does not change when X and the ladder
+    are scaled together.  Fewer than 3 survivors for any metric raises
+    InsufficientSamples.
     """
     samples = tuple(samples)
+    floors = {"res_u": FLOOR_TOL, "res_v": FLOOR_TOL,
+              "res_sigma": FLOOR_TOL * sigma_max}
     orders = {}
     r2s = {}
-    for metric in ("res_u", "res_v", "res_sigma"):
+    for metric, floor in floors.items():
         pts = [
             (s.epsilon, getattr(s, metric))
             for s in samples
-            if getattr(s, metric) > FLOOR_TOL
+            if getattr(s, metric) > floor
         ]
         if len(pts) < 3:
             raise InsufficientSamples(
@@ -209,6 +253,57 @@ def fit_report(variant: FormulaVariant, samples) -> ConvergenceReport:
     )
 
 
+def convergence_ladders(
+    X,
+    E_dir,
+    variants,
+    k: int = 1,
+    eps0: float = 1e-2,
+    factor: float = 0.5,
+    count: int = 8,
+) -> tuple:
+    """Residual ladder epsilon_i = eps0 * factor^i, i = 0..count-1, scored
+    for several variants at once; returns one ConvergenceReport per
+    variant, in the order given.
+
+    The decomposition of X is computed once, and each rung makes one exact
+    decomposition that every variant is scored against, so a ladder costs
+    count + 1 SVDs however many variants it serves.  Requires count >= 4,
+    0 < factor < 1, and eps0 < 0.1 * (spectral gap at the selected
+    triplet) so that tracking stays unambiguous.  Sampling is strictly
+    sequential, so identical inputs give bitwise-identical reports.
+    """
+    variants = tuple(variants)
+    if not variants:
+        raise ValueError("need at least one variant")
+    if count < 4:
+        raise ValueError(f"count must be >= 4, got {count}")
+    if not (math.isfinite(factor) and 0.0 < factor < 1.0):
+        raise ValueError(f"factor must lie in (0, 1), got {factor}")
+    if not (math.isfinite(eps0) and eps0 > 0.0):
+        raise ValueError(f"eps0 must be positive, got {eps0}")
+    problem = tall_problem(X, E_dir)
+    full = svd(problem[0])
+    # triplet separation is a data problem and is reported as such,
+    # before eps0 (a flag problem) is ever compared against the gap
+    part = partition_svd(full, k)
+    gap = triplet_gap(full, k)
+    if eps0 >= 0.1 * gap:
+        raise ValueError(
+            f"eps0 ={eps0} must stay below 0.1 * spectral gap ({0.1 * gap:.3e})"
+        )
+    _check_unit(problem[1])
+    rungs = [
+        _score_rung(problem, full, part, eps0 * factor**i, variants)
+        for i in range(count)
+    ]
+    sigma_max = float(full.S[0])
+    return tuple(
+        fit_report(variant, samples, sigma_max)
+        for variant, samples in zip(variants, zip(*rungs))
+    )
+
+
 def convergence_ladder(
     X,
     E_dir,
@@ -218,32 +313,8 @@ def convergence_ladder(
     factor: float = 0.5,
     count: int = 8,
 ) -> ConvergenceReport:
-    """Residual ladder epsilon_i = eps0 * factor^i, i = 0..count-1, plus
-    fitted per-metric orders.
-
-    Requires count >= 4, 0 < factor < 1, and eps0 < 0.1 * (spectral gap at
-    the selected triplet) so that tracking stays unambiguous.  Sampling is
-    strictly sequential, so identical inputs give bitwise-identical
-    reports.
-    """
-    if count < 4:
-        raise ValueError(f"count must be >= 4, got {count}")
-    if not (math.isfinite(factor) and 0.0 < factor < 1.0):
-        raise ValueError(f"factor must lie in (0, 1), got {factor}")
-    if not (math.isfinite(eps0) and eps0 > 0.0):
-        raise ValueError(f"eps0 must be positive, got {eps0}")
-    Xo, _, _ = tall_problem(X, E_dir)
-    full = svd(Xo)
-    # triplet separation is a data problem and is reported as such,
-    # before eps0 (a flag problem) is ever compared against the gap
-    partition_svd(full, k)
-    gap = triplet_gap(full, k)
-    if eps0 >= 0.1 * gap:
-        raise ValueError(
-            f"eps0 ={eps0} must stay below 0.1 * spectral gap ({0.1 * gap:.3e})"
-        )
-    samples = [
-        residuals_at(X, E_dir, eps0 * factor**i, k, variant)
-        for i in range(count)
-    ]
-    return fit_report(variant, samples)
+    """Residual ladder and fitted per-metric orders for one variant; see
+    convergence_ladders."""
+    return convergence_ladders(
+        X, E_dir, (variant,), k=k, eps0=eps0, factor=factor, count=count
+    )[0]

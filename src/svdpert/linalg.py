@@ -9,11 +9,12 @@ rotated pairwise until all mutual Gram entries vanish relative to the column
 norms.  It is run on the taller orientation (the input is transposed
 internally when rows < cols), so ``X = U @ np.diag(S) @ V.T`` with U n x r,
 V p x r and ``r = min(n, p)``.  No complement of the left basis is built:
-callers that need it use the projector ``I - U U^T`` instead.  The input is
-first scaled by a power of two so that its largest entry lies in [0.5, 1).
-That scaling is exact for every entry that neither is nor becomes
-subnormal, so it changes no bit of U or V, and it keeps the sweeps clear of
-overflow and underflow over the whole double range.
+callers that need it use the projector ``I - U U^T`` instead.  Each
+column is carried as a mantissa times its own power of two, so that a
+column far below the largest one keeps full relative accuracy.  That
+scaling is exact for every entry that neither is nor becomes subnormal, so
+it changes no bit of U or V against unscaled sweeps, and it keeps the
+sweeps clear of overflow and underflow over the whole double range.
 """
 
 import math
@@ -24,10 +25,13 @@ import numpy as np
 from .errors import ConvergenceFailure, DimensionMismatch, RankDeficient
 
 # Convergence / rank thresholds.  JACOBI_TOL is relative to the geometric
-# mean of the two column norms; QR_RANK_TOL is relative to the Frobenius
-# norm of the factored matrix.
+# mean of the two column norms; a Jacobi column mantissa whose squared norm
+# leaves [JACOBI_NORM2_MIN, JACOBI_NORM2_MAX] is rescaled by a power of two;
+# QR_RANK_TOL is relative to the Frobenius norm of the factored matrix.
 JACOBI_SWEEP_LIMIT = 30
 JACOBI_TOL = 1e-14
+JACOBI_NORM2_MIN = 2.0**-200
+JACOBI_NORM2_MAX = 2.0**200
 QR_RANK_TOL = 1e-13
 
 
@@ -69,14 +73,58 @@ def frobenius_norm(a) -> float:
     return float(np.sqrt(np.sum(A * A)))
 
 
-def _jacobi_sweeps(X: np.ndarray, max_sweeps: int):
-    """Rotate column pairs of a copy of X until mutually orthogonal.
+def _rescale(W: np.ndarray, e: list, k: int) -> float:
+    """Rescale column k of W by the power of two that brings its squared
+    norm into [0.5, 2), record it in e[k], and return the new squared
+    norm."""
+    col = W[:, k]
+    shift = math.frexp(float(col @ col))[1] // 2
+    np.ldexp(col, -shift, out=col)
+    e[k] += shift
+    return float(col @ col)
 
-    Returns (W, V) with W = X @ V, V orthogonal.  Sweep order is fixed
-    (row-cyclic over pairs i < j), so the result is deterministic.
+
+def _rotation(a: float, b: float, c: float, d: int):
+    """Jacobi rotation of the columns x = 2^ei wi and y = 2^ej wj, given
+    the mantissa Gram entries a = wi.wi, b = wj.wj, c = wi.wj and
+    d = ej - ei.
+
+    Returns (cs, sn, sn * 2^d, sn / 2^d): the rotation x' = cs x - sn y,
+    y' = sn x + cs y, and the factors its mantissa form needs,
+    wi' = cs wi - (sn 2^d) wj and wj' = (sn / 2^d) wi + cs wj.  The angle
+    is tan = t = sign(zeta) / (|zeta| + hypot(1, zeta)) with
+    zeta = (y.y - x.x) / (2 x.y), evaluated as q = t / 2^d from
+    z = 2^d zeta with x the larger-scaled column (d <= 0), so that no
+    factor above 1 is formed.
+    """
+    if d > 0:
+        # the mirrored pair: swapping the columns negates the sine
+        cs, sn, s_up, s_down = _rotation(b, a, c, -d)
+        return cs, -sn, -s_down, -s_up
+    z = (math.ldexp(b, 2 * d) - a) / (2.0 * c)
+    q = math.copysign(1.0, z) / (abs(z) + math.hypot(math.ldexp(1.0, d), z))
+    t = math.ldexp(q, d)
+    cs = 1.0 / math.sqrt(1.0 + t * t)
+    s_down = cs * q
+    return cs, cs * t, math.ldexp(s_down, 2 * d), s_down
+
+
+def _jacobi_sweeps(X: np.ndarray, max_sweeps: int):
+    """Rotate column pairs of X until mutually orthogonal.
+
+    Returns (W, e, V) with X @ V = W * 2^e (column k of W times 2^e[k]) and
+    V orthogonal.  Each column is carried as a mantissa W[:, k], started
+    with its largest entry in [0.5, 1), and its own power of two, so the
+    Gram entries of columns far below the largest one neither underflow
+    nor lose digits.  Power-of-two scaling is exact, so wherever unscaled
+    sweeps would stay clear of overflow and underflow the rotations are
+    bitwise theirs.  Sweep order is fixed (row-cyclic over pairs i < j), so
+    the result is deterministic.
     """
     p = X.shape[1]
-    W = X.astype(float, copy=True)
+    _, exponents = np.frexp(np.max(np.abs(X), axis=0))
+    W = np.ldexp(X, -exponents)
+    e = exponents.tolist()
     V = np.eye(p)
     for _ in range(max_sweeps):
         rotated = False
@@ -86,20 +134,21 @@ def _jacobi_sweeps(X: np.ndarray, max_sweeps: int):
                 wj = W[:, j]
                 a = float(wi @ wi)
                 b = float(wj @ wj)
+                if not JACOBI_NORM2_MIN <= a <= JACOBI_NORM2_MAX and a > 0.0:
+                    a = _rescale(W, e, i)
+                if not JACOBI_NORM2_MIN <= b <= JACOBI_NORM2_MAX and b > 0.0:
+                    b = _rescale(W, e, j)
                 c = float(wi @ wj)
-                if abs(c) <= JACOBI_TOL * math.sqrt(a * b):
+                if abs(c) <= JACOBI_TOL * math.sqrt(a) * math.sqrt(b):
                     continue
                 rotated = True
-                zeta = (b - a) / (2.0 * c)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-                cs = 1.0 / math.sqrt(1.0 + t * t)
-                sn = cs * t
-                W[:, i], W[:, j] = cs * wi - sn * wj, sn * wi + cs * wj
+                cs, sn, s_up, s_down = _rotation(a, b, c, e[j] - e[i])
+                W[:, i], W[:, j] = cs * wi - s_up * wj, s_down * wi + cs * wj
                 vi = V[:, i]
                 vj = V[:, j]
                 V[:, i], V[:, j] = cs * vi - sn * vj, sn * vi + cs * vj
         if not rotated:
-            return W, V
+            return W, np.array(e), V
     raise ConvergenceFailure(
         f"one-sided Jacobi did not converge in {max_sweeps} sweeps"
     )
@@ -108,16 +157,18 @@ def _jacobi_sweeps(X: np.ndarray, max_sweeps: int):
 def _svd_tall(X: np.ndarray, max_sweeps: int):
     """Jacobi SVD of a matrix with rows >= cols; returns (U, S, V), thin."""
     n, p = X.shape
-    W, V = _jacobi_sweeps(X, max_sweeps)
-    norms = np.sqrt(np.sum(W * W, axis=0))
+    W, e, V = _jacobi_sweeps(X, max_sweeps)
+    mantissas = np.sqrt(np.sum(W * W, axis=0))
+    norms = np.ldexp(mantissas, e)
     order = np.argsort(-norms, kind="stable")
     S = norms[order]
     W = W[:, order]
+    mantissas = mantissas[order]
     V = V[:, order]
     U = np.zeros((n, p))
     for k in range(p):
         if S[k] > 0.0:
-            U[:, k] = W[:, k] / S[k]
+            U[:, k] = W[:, k] / mantissas[k]
     return U, S, V
 
 
@@ -135,21 +186,18 @@ def _normalize_signs(U: np.ndarray, V: np.ndarray) -> None:
 def svd(x, max_sweeps: int = JACOBI_SWEEP_LIMIT) -> Svd:
     """Thin singular value decomposition via one-sided Jacobi.
 
-    The sweeps run on x scaled by 2^-m, where 2^m is the smallest power of
-    two above max |x| (``math.frexp``), and S is scaled back afterwards; an
-    all-zero input has m = 0.  Raises ConvergenceFailure if the sweep
-    budget is exhausted (finite inputs converge well within the default
-    limit).
+    The sweeps run on column mantissas with their largest entry in
+    [0.5, 1), each column scaled by its own power of two, and S is scaled
+    back afterwards.  Raises ConvergenceFailure if the sweep budget is
+    exhausted (finite inputs converge well within the default limit).
     """
     X = as_matrix(x, "X")
-    _, m = math.frexp(float(np.max(np.abs(X))))
-    X = np.ldexp(X, -m)
     if X.shape[0] >= X.shape[1]:
         U, S, V = _svd_tall(X, max_sweeps)
     else:
         V, S, U = _svd_tall(X.T, max_sweeps)
     _normalize_signs(U, V)
-    return Svd(U=U, S=np.ldexp(S, m), V=V)
+    return Svd(U=U, S=S, V=V)
 
 
 def _householder_qr(A: np.ndarray):

@@ -4,8 +4,10 @@ Commands run in process through main(); one subprocess smoke test covers
 the installed entry point.
 """
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -315,11 +317,15 @@ def test_unknown_variant_is_usage_error(tmp_path):
 
 
 def test_module_entry_point_subprocess():
+    # the child imports svdpert from this checkout's src/, installed or not
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "svdpert", "errata"],
         capture_output=True,
         text=True,
         timeout=300,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0].startswith("item,formula,defect")

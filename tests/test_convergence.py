@@ -7,10 +7,13 @@ symmetric 2x2 perturbation.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import make_instance
+from helpers import make_instance, run_cli
 
 import svdpert as sp
+import svdpert.convergence
 from svdpert import FormulaVariant
 from svdpert.errors import (
     DimensionMismatch,
@@ -217,3 +220,99 @@ def test_symmetric_case_right_vector_superconverges():
     assert 2.5 <= report.order_v <= 3.5
     assert 2.5 <= report.order_u <= 3.5
     assert 1.8 <= report.order_sigma <= 2.2
+
+
+# --------------------------------------- one decomposition per ladder rung
+
+# (n, p, k, transpose): tall, wide, square and k = p
+LADDER_CASES = [(6, 4, 1, False), (6, 4, 1, True), (5, 5, 1, False),
+                (6, 4, 4, False)]
+
+
+def ladder_instance(n, p, k, transpose):
+    x, e = make_instance(n, p, 90 + n + 10 * p + k)
+    return (x.T, e.T) if transpose else (x, e)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    calls = []
+    real = svdpert.convergence.svd
+
+    def counted(x, *args, **kwargs):
+        calls.append(np.shape(x))
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(svdpert.convergence, "svd", counted)
+    return calls
+
+
+@pytest.mark.parametrize("variants", [
+    (FormulaVariant.CORRECTED,),
+    (FormulaVariant.CORRECTED, FormulaVariant.SIGN_FLIPPED),
+    (FormulaVariant.CORRECTED, FormulaVariant.SIGN_FLIPPED,
+     FormulaVariant.U3_OMITTED),
+])
+def test_ladder_makes_one_decomposition_per_rung(svd_calls, variants):
+    x, e = make_instance(6, 4, 70)
+    reports = sp.convergence_ladders(x, e, variants, count=6)
+    assert [r.variant for r in reports] == list(variants)
+    assert len(svd_calls) == 6 + 1
+
+
+def test_errata_makes_one_decomposition_per_rung(svd_calls):
+    code, _, _ = run_cli(["errata"])
+    assert code == 0
+    assert len(svd_calls) == 8 + 1
+
+
+@pytest.mark.parametrize("n, p, k, transpose", LADDER_CASES)
+def test_ladders_equal_single_variant_ladders(n, p, k, transpose):
+    x, e = ladder_instance(n, p, k, transpose)
+    variants = tuple(FormulaVariant)
+    reports = sp.convergence_ladders(x, e, variants, k=k)
+    assert len(reports) == len(variants)
+    for variant, report in zip(variants, reports):
+        assert report == sp.convergence_ladder(x, e, k=k, variant=variant)
+
+
+@pytest.mark.parametrize("n, p, k, transpose", LADDER_CASES)
+def test_ladder_residuals_match_lapack_oracle(n, p, k, transpose):
+    # the oracle decomposes X + eps E cold with LAPACK (test-only); eps0
+    # below a tenth of the gap keeps the k-th triplet k-th (Weyl)
+    x, e = ladder_instance(n, p, k, transpose)
+    variants = tuple(FormulaVariant)
+    U0, _, Vt0 = np.linalg.svd(x, full_matrices=False)
+    for variant, report in zip(variants, sp.convergence_ladders(x, e, variants, k=k)):
+        for s in report.samples:
+            U, S, Vt = np.linalg.svd(x + s.epsilon * e, full_matrices=False)
+            u, v = U[:, k - 1], Vt[k - 1]
+            pred = sp.expand_matrix(x, s.epsilon * e, k, variant)
+            # the prediction's chart is signed by the library's (u1, v1)
+            sign = np.sign(Vt0[k - 1] @ pred.v_tilde)
+            u1, v1 = sign * U0[:, k - 1], sign * Vt0[k - 1]
+            assert abs(s.res_u - np.linalg.norm(u / (u @ u1) - pred.u_tilde)) <= 1e-13
+            assert abs(s.res_v - np.linalg.norm(v / (v @ v1) - pred.v_tilde)) <= 1e-13
+            assert abs(s.res_sigma - abs(S[k - 1] - pred.sigma_tilde)) <= 1e-13
+
+
+def test_ladders_need_a_variant():
+    x, e = make_instance(5, 3, 72)
+    with pytest.raises(ValueError):
+        sp.convergence_ladders(x, e, ())
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=-300, max_value=300))
+@example(-40)
+@example(-20)
+def test_ladder_orders_are_scale_invariant(j):
+    # scaling X and the ladder by 2^j scales every residual of sigma by 2^j
+    # and leaves the vector residuals alone, so no fit may move
+    x, e = make_instance(6, 4, 70)
+    variants = tuple(FormulaVariant)
+    base = sp.convergence_ladders(x, e, variants)
+    scaled = sp.convergence_ladders(2.0**j * x, e, variants, eps0=2.0**j * 1e-2)
+    for b, s in zip(base, scaled):
+        for metric in ("order_u", "order_v", "order_sigma"):
+            assert abs(getattr(s, metric) - getattr(b, metric)) <= 1e-9

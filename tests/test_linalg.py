@@ -149,6 +149,50 @@ def test_svd_power_of_two_scaling_is_bitwise(k, seed):
         assert np.array_equal(scaled.V, base.V)
 
 
+def _exact_singular_values(x):
+    """Singular values from a 340-digit SVD (test-only oracle): enough
+    digits to resolve a 1e-300 column next to an O(1) one, where LAPACK's
+    drivers are only accurate relative to the largest value."""
+    import mpmath
+
+    with mpmath.workdps(340):
+        s = mpmath.svd_r(mpmath.matrix(x.tolist()), compute_uv=False)
+        return np.array(sorted((float(v) for v in s), reverse=True))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=-300, max_value=0),
+       st.integers(min_value=0, max_value=2**32))
+def test_svd_graded_columns_keep_relative_accuracy(e, seed):
+    # one-sided Jacobi on B D, B well conditioned and D a column grading,
+    # gets every singular value to high relative accuracy (Demmel and
+    # Veselic 1992); the column Gram entries must not underflow on the way
+    n, p = [(6, 4), (5, 5), (8, 3), (9, 5)][seed % 4]
+    spectrum = tuple(3.0 * 0.7**j for j in range(p))
+    x = sp.matrix_with_spectrum(sp.SpectrumSpec(n, p, spectrum, seed))
+    x[:, p // 2:] *= 10.0**e
+    got = sp.svd(x).S
+    ref = _exact_singular_values(x)
+    assert np.all(np.abs(got - ref) <= 1e-13 * ref)
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1e-160, 1e-300])
+def test_svd_tiny_trailing_columns(scale):
+    # squared norms of 1e-100 columns multiply to below the double range;
+    # at 1e-160 the squares themselves are subnormal
+    x = sp.SplitMix64(0).normal_matrix(6, 4)
+    x[:, 2:] *= scale
+    got = sp.svd(x).S
+    assert np.all(np.abs(got - _exact_singular_values(x)) <= 1e-13 * got)
+
+
+def test_svd_orthogonal_tiny_column_is_exact():
+    f = sp.svd(np.diag([1.0, 1e-160]))
+    assert np.array_equal(f.S, np.array([1.0, 1e-160]))
+    assert np.array_equal(f.U, np.eye(2))
+    assert np.array_equal(f.V, np.eye(2))
+
+
 # ---------------------------------------------------------------------- qr
 
 def test_qr_single_column_hand_case():
