@@ -201,12 +201,17 @@ def svd(x, max_sweeps: int = JACOBI_SWEEP_LIMIT) -> Svd:
 
 
 def _householder_qr(A: np.ndarray):
-    """Householder QR; returns full square Q and R with R[k, k] possibly of
-    either sign.  Does not reject rank deficiency."""
+    """Householder QR of an n x m matrix with n >= m; returns the thin
+    n x m Q and the n x m R with R[k, k] possibly of either sign.  Does not
+    reject rank deficiency.
+
+    Q = H_0 ... H_{m-1} [I_m; 0] is accumulated backwards from the stored
+    reflectors (LAPACK's dorgqr order), so no n x n matrix is formed.
+    """
     n, m = A.shape
     R = A.astype(float, copy=True)
-    Q = np.eye(n)
-    for k in range(min(n, m)):
+    reflectors = []
+    for k in range(m):
         x = R[k:, k]
         nx = math.sqrt(float(x @ x))
         if nx == 0.0:
@@ -216,9 +221,12 @@ def _householder_qr(A: np.ndarray):
         v[0] -= alpha
         beta = 2.0 / float(v @ v)
         R[k:, k:] -= np.outer(v, beta * (v @ R[k:, k:]))
-        Q[:, k:] -= np.outer(Q[:, k:] @ v, beta * v)
         R[k, k] = alpha
         R[k + 1:, k] = 0.0
+        reflectors.append((k, v, beta))
+    Q = np.eye(n, m)
+    for k, v, beta in reversed(reflectors):
+        Q[k:, k:] -= np.outer(v, beta * (v @ Q[k:, k:]))
     return Q, R
 
 
@@ -242,4 +250,4 @@ def qr_orthonormal(a) -> np.ndarray:
             f"column span has numerical rank below {m} "
             f"(min |R_kk| = {float(np.min(np.abs(diag))):.3e})"
         )
-    return Q[:, :m] * np.sign(diag)
+    return Q * np.sign(diag)

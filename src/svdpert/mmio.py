@@ -15,6 +15,8 @@ data row per ladder sample (epsilon descending), and three footer rows
 ``order_u,<slope>,<r2>`` / ``order_v,...`` / ``order_sigma,...``.
 """
 
+import math
+
 import numpy as np
 
 from .errors import ParseError, UnsupportedFormat
@@ -34,9 +36,12 @@ def write_matrix(path, a, comments=()) -> None:
     for c in comments:
         lines.append(f"% {c}" if c else "%")
     lines.append(f"{m.shape[0]} {m.shape[1]}")
-    lines.extend(_fmt(v) for v in m.flatten(order="F"))
+    values = m.flatten(order="F").tolist()
+    # one %-format pass; "%.17g" formats a float exactly as _fmt does
+    body = ("%.17g\n" * len(values)) % tuple(values)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+        fh.write(body)
 
 
 def read_matrix(path) -> np.ndarray:
@@ -80,7 +85,7 @@ def read_matrix(path) -> np.ndarray:
     pos += 1
 
     need = rows * cols
-    values = np.empty(need)
+    values = []
     for i in range(need):
         lineno = pos + i + 1
         if pos + i >= len(lines):
@@ -94,13 +99,13 @@ def read_matrix(path) -> np.ndarray:
             v = float(text)
         except ValueError:
             raise ParseError(lineno, f"not a real number: {text!r}")
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise ParseError(lineno, f"non-finite entry: {text!r}")
-        values[i] = v
+        values.append(v)
     for extra in range(pos + need, len(lines)):
         if lines[extra].strip():
             raise ParseError(extra + 1, "unexpected content after matrix entries")
-    return values.reshape((rows, cols), order="F")
+    return np.array(values).reshape((rows, cols), order="F")
 
 
 def write_report_csv(path, report) -> None:

@@ -3,17 +3,22 @@
 The random stream is fully pinned so that a seed reproduces the same matrix
 on any platform or runtime, independent of library versions:
 
-* 64-bit state update (splitmix-style):
-  ``state = (state + 0x9E3779B97F4A7C15) mod 2^64`` then the output is
+* 64-bit counter-form SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): word
+  i = 1, 2, ... of the stream seeded with s is ``mix(s + i * gamma)`` with
+  ``gamma = 0x9E3779B97F4A7C15`` and ``mix(z)`` being
   ``z ^= z >> 30; z *= 0xBF58476D1CE4E5B9; z ^= z >> 27;
-  z *= 0x94D049BB133111EB; z ^= z >> 31`` (all mod 2^64).
-* uniforms take the top 53 bits: ``u = (word >> 11) * 2^-53``.
+  z *= 0x94D049BB133111EB; z ^= z >> 31`` (all mod 2^64).  This is the
+  sequential update ``state += gamma`` unrolled, so a block of words is
+  computed as one ``uint64`` array with wraparound arithmetic.
 * normals come from Box-Muller pairs consumed in a fixed order: draw word a
   then word b, set ``u1 = ((a >> 11) + 1) * 2^-53`` (strictly positive, so
   the log is safe) and ``u2 = (b >> 11) * 2^-53``, return
   ``sqrt(-2 ln u1) * cos(2 pi u2)`` and cache ``sqrt(-2 ln u1) * sin(2 pi u2)``
-  for the next call.  The cache never survives across matrices because every
-  matrix starts a fresh stream.
+  as the spare for the next draw from the same generator.  The spare
+  carries across calls: ``matrix_with_spectrum`` draws two matrices from one
+  stream.  Arithmetic is done on arrays, but ``log``, ``cos`` and ``sin``
+  are Python's ``math`` functions applied per element, since numpy's
+  vectorised ones may differ from them in the last bit.
 * matrices are filled column by column.
 """
 
@@ -54,29 +59,47 @@ class SplitMix64:
         self._spare = None
 
     def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
+        return int(self._words(1)[0])
+
+    def _words(self, count: int) -> np.ndarray:
+        """The next count words of the stream as a uint64 array."""
+        u64 = np.uint64
+        z = np.arange(1, count + 1, dtype=u64)
+        z *= u64(_GAMMA)
+        z += u64(self._state)
+        self._state = (self._state + count * _GAMMA) & _MASK64
+        z ^= z >> u64(30)
+        z *= u64(_MIX1)
+        z ^= z >> u64(27)
+        z *= u64(_MIX2)
+        z ^= z >> u64(31)
+        return z
 
     def next_normal(self) -> float:
         """Standard normal via Box-Muller with spare caching."""
-        if self._spare is not None:
-            z, self._spare = self._spare, None
-            return z
-        u1 = ((self.next_u64() >> 11) + 1) / _TWO53
-        u2 = (self.next_u64() >> 11) / _TWO53
-        r = math.sqrt(-2.0 * math.log(u1))
-        self._spare = r * math.sin(2.0 * math.pi * u2)
-        return r * math.cos(2.0 * math.pi * u2)
+        return float(self.normal_matrix(1, 1)[0, 0])
 
     def normal_matrix(self, rows: int, cols: int) -> np.ndarray:
-        """rows x cols standard normals, filled column by column."""
-        vals = np.empty(rows * cols)
-        for i in range(rows * cols):
-            vals[i] = self.next_normal()
-        return vals.reshape((rows, cols), order="F")
+        """rows x cols standard normals, filled column by column; the same
+        values, in the same order, as rows * cols scalar Box-Muller draws."""
+        if not (_is_int(rows) and _is_int(cols)) or rows < 0 or cols < 0:
+            raise ValueError(
+                f"dims must be nonnegative integers, got {rows!r}, {cols!r}"
+            )
+        need = int(rows) * int(cols)
+        spare = [] if self._spare is None else [self._spare]
+        pairs = (need - len(spare) + 1) // 2
+        # word >> 11 < 2^53, so the conversion and the + 1 are exact
+        w = (self._words(2 * pairs) >> np.uint64(11)).astype(float)
+        u1 = (w[0::2] + 1.0) / _TWO53
+        r = np.sqrt(-2.0 * np.fromiter(map(math.log, u1), float, pairs))
+        theta = 2.0 * math.pi * (w[1::2] / _TWO53)
+        vals = np.empty(len(spare) + 2 * pairs)
+        vals[:len(spare)] = spare
+        vals[len(spare)::2] = r * np.fromiter(map(math.cos, theta), float, pairs)
+        vals[len(spare) + 1::2] = r * np.fromiter(map(math.sin, theta), float, pairs)
+        self._spare = float(vals[need]) if vals.size > need else None
+        return vals[:need].reshape((rows, cols), order="F")
 
 
 @dataclass(frozen=True)
@@ -135,6 +158,8 @@ def matrix_with_spectrum(spec: SpectrumSpec) -> np.ndarray:
 
 def perturbation_direction(n: int, p: int, seed: int) -> np.ndarray:
     """Seeded n x p direction with unit Frobenius norm."""
+    if not (_is_int(n) and _is_int(p)):
+        raise ValueError(f"dims must be integers, got n={n!r}, p={p!r}")
     if n < 1 or p < 1:
         raise ValueError(f"need positive dims, got n={n}, p={p}")
     gen = SplitMix64(_check_seed(seed))

@@ -44,6 +44,18 @@ def test_gen_writes_matrix_with_spectrum(tmp_path):
     assert np.all(np.abs(got - np.array([3.0, 2.0, 1.0])) <= 1e-12 * 3.0)
 
 
+def test_gen_output_is_byte_stable(tmp_path):
+    sv = ",".join(repr(3.0 * 0.9**j) for j in range(7))
+    runs = []
+    for name in ("a.mtx", "b.mtx"):
+        out = tmp_path / name
+        code, _, _ = run_cli(["gen", "--n", "31", "--p", "7", "--sv", sv,
+                              "--seed", "18446744073709551615", "--out", str(out)])
+        assert code == 0
+        runs.append(out.read_bytes())
+    assert runs[0] == runs[1]
+
+
 def test_gen_rejects_unparsable_sv(tmp_path):
     code, _, err = run_cli(
         ["gen", "--n", "3", "--p", "2", "--sv", "3,two", "--out",

@@ -215,9 +215,29 @@ def test_qr_orthogonality_seeded():
     assert sp.frobenius_norm(q.T @ q - np.eye(6)) <= 1e-13
 
 
+@pytest.mark.parametrize("shape", [(300, 150), (600, 4), (1, 1)])
+def test_qr_thin_q_against_lapack(shape):
+    a = sp.SplitMix64(31).normal_matrix(*shape)
+    q = sp.qr_orthonormal(a)
+    assert q.shape == shape
+    assert np.max(np.abs(q.T @ q - np.eye(shape[1]))) <= 1e-13
+    # test-only oracle: LAPACK's QR with the diagonal of R made nonnegative
+    q_ref, r_ref = np.linalg.qr(a)
+    signs = np.sign(np.diag(r_ref))
+    r = q.T @ a
+    scale = sp.frobenius_norm(a)
+    assert np.max(np.abs(q - q_ref * signs)) <= 1e-13
+    assert np.max(np.abs(r - signs[:, None] * r_ref)) <= 1e-13 * scale
+    assert np.max(np.abs(q @ np.triu(r) - a)) <= 1e-13 * scale
+
+
 def test_qr_rank_deficient_raises():
     with pytest.raises(RankDeficient):
         sp.qr_orthonormal(np.array([[1.0, 2.0], [2.0, 4.0]]))
+    a = sp.SplitMix64(31).normal_matrix(300, 150)
+    a[:, 149] = a[:, 3] - 2.0 * a[:, 70]
+    with pytest.raises(RankDeficient):
+        sp.qr_orthonormal(a)
 
 
 def test_qr_wide_raises():

@@ -6,12 +6,13 @@ every finite double bitwise, including signed zeros and subnormals.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import svdpert as sp
 from svdpert import FormulaVariant
 from svdpert.errors import ParseError, UnsupportedFormat
+from svdpert.mmio import BANNER
 
 
 def write_lines(path, lines):
@@ -72,11 +73,16 @@ def test_comments_written_and_skipped(tmp_path):
         max_size=12,
     )
 )
+@example([-0.0, 5e-324, -2.225073858507201e-308, 1.7976931348623157e308,
+          -1.7976931348623157e308, 0.1])
 def test_round_trip_property(tmp_path_factory, values):
     a = np.array(values).reshape(1, -1)
     f = tmp_path_factory.mktemp("mm") / "prop.mtx"
     sp.write_matrix(f, a)
     assert sp.read_matrix(f).tobytes() == a.tobytes()
+    # the body is exactly the per-entry 17-digit form
+    expect = [BANNER, f"1 {len(values)}"] + [f"{x:.17g}" for x in values]
+    assert f.read_bytes() == ("\n".join(expect) + "\n").encode("ascii")
 
 
 def test_unsupported_headers(tmp_path):

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import svdpert as sp
@@ -65,6 +65,55 @@ def test_normals_are_standardish():
     z = np.array([gen.next_normal() for _ in range(4000)])
     assert abs(z.mean()) < 0.1
     assert 0.9 < z.std() < 1.1
+
+
+def ref_normals(seed, shapes):
+    """Scalar replay of the documented Box-Muller consumption on the
+    reference stream, one draw at a time, with the spare carried across
+    matrices."""
+    state = seed
+    spare = None
+    out = []
+    for rows, cols in shapes:
+        vals = []
+        for _ in range(rows * cols):
+            if spare is not None:
+                vals.append(spare)
+                spare = None
+                continue
+            state, a = ref_splitmix_next(state)
+            state, b = ref_splitmix_next(state)
+            u1 = ((a >> 11) + 1) * 2.0**-53
+            u2 = (b >> 11) * 2.0**-53
+            r = math.sqrt(-2.0 * math.log(u1))
+            vals.append(r * math.cos(2.0 * math.pi * u2))
+            spare = r * math.sin(2.0 * math.pi * u2)
+        out.append(np.array(vals).reshape((rows, cols), order="F"))
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=2**64 - 1))
+@example(0)
+@example(2**64 - 1)
+def test_normal_matrix_matches_scalar_replay(seed):
+    # odd counts leave a spare; it carries from the 5x3 draw into the 3x3
+    # one, as in matrix_with_spectrum, and on into the single draws
+    shapes = [(5, 3), (3, 3), (1, 1), (2, 1), (41, 25), (1, 1)]
+    want = ref_normals(seed, shapes + [(1, 1)])
+    gen = sp.SplitMix64(seed)
+    for w, shape in zip(want, shapes):
+        got = gen.normal_matrix(*shape)
+        assert got.shape == shape
+        assert got.tobytes() == w.tobytes()
+    assert gen.next_normal() == want[-1][0, 0]
+
+
+def test_normal_matrix_rejects_bad_dims():
+    gen = sp.SplitMix64(0)
+    for rows, cols in ((2.0, 3), (3, True), (-1, 3)):
+        with pytest.raises(ValueError):
+            gen.normal_matrix(rows, cols)
 
 
 def test_normal_matrix_fills_column_major():
@@ -176,6 +225,12 @@ def test_perturbation_direction_unit_norm():
     e = sp.perturbation_direction(5, 3, 0)
     assert e.shape == (5, 3)
     assert abs(sp.frobenius_norm(e) - 1.0) <= 1e-15
+
+
+def test_perturbation_direction_rejects_bad_dims():
+    for n, p in ((True, 3), (2.0, 3), (3, 1.0), (0, 3)):
+        with pytest.raises(ValueError):
+            sp.perturbation_direction(n, p, 1)
 
 
 def test_perturbation_direction_deterministic_and_seed_sensitive():
