@@ -43,8 +43,10 @@ from .linalg import (
 )
 from .mmio import read_matrix, write_matrix, write_report_csv
 from .perturbation import (
+    CATALOG,
     GAP_TOL,
     CorrectionCoefficients,
+    Defect,
     FormulaVariant,
     Projections,
     ShapeAuditReport,
@@ -72,9 +74,11 @@ from .randmat import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "CATALOG",
     "ConvergenceFailure",
     "ConvergenceReport",
     "CorrectionCoefficients",
+    "Defect",
     "DimensionMismatch",
     "FLOOR_TOL",
     "FormulaVariant",

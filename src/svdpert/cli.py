@@ -37,6 +37,7 @@ from .errors import (
 from .linalg import frobenius_norm, svd
 from .mmio import read_matrix, write_matrix, write_report_csv
 from .perturbation import (
+    CATALOG,
     FormulaVariant,
     expand_triplet,
     partition_svd,
@@ -232,89 +233,40 @@ def _cmd_errata(args) -> int:
     X = matrix_with_spectrum(spec)
     E = perturbation_direction(n, p, (seed + 1) & _MASK64)
 
-    # one shared ladder; the dropped complement only shows when n > p
-    corrected, flipped, omitted = convergence_ladders(X, E, (
-        FormulaVariant.CORRECTED,
-        FormulaVariant.SIGN_FLIPPED,
-        FormulaVariant.U3_OMITTED,
+    # one shared ladder for the corrected form and every cataloged variant
+    variants = tuple(dict.fromkeys(
+        (FormulaVariant.CORRECTED, *(d.variant for d in CATALOG if d.variant))
     ))
-    audit = shape_audit_as_printed(n, p)
-    by_item = {f.errata_item: f for f in audit.findings}
-    expected_findings = 3 if n > p else 2
-    audit_count_ok = len(audit.findings) == expected_findings
-
-    def order_row(item, formula, defect, metric, good, bad):
-        sep = good - bad
-        status = "confirmed" if sep >= ORDER_SEPARATION else "not confirmed"
-        return (
-            f"{item},{formula},{defect},{metric},"
-            f"{_fmt(good)},{_fmt(bad)},{_fmt(sep)},{status}"
-        ), status == "confirmed"
-
-    def audit_row(item, formula, defect):
-        f = by_item.get(item)
-        ok = f is not None and audit_count_ok
-        status = "confirmed" if ok else "not confirmed"
-        expected = f.expected_dims if f else ""
-        printed = f.printed_dims if f else ""
-        return f"{item},{formula},{defect},shape-audit,{expected},{printed},,{status}", ok
-
-    rows = []
-    confirmations = []
-    not_applicable = False
-
-    row, ok = order_row(
-        1, "u_tilde", "sign flipped after the E v1 term in the u correction",
-        "order_u", corrected.order_u, flipped.order_u,
-    )
-    rows.append(row)
-    confirmations.append(ok)
-
-    row, ok = audit_row(
-        2, "u_tilde", "V2 printed untransposed after Sigma2 in the u correction"
-    )
-    rows.append(row)
-    confirmations.append(ok)
-
-    if n > p:
-        row, ok = order_row(
-            3, "u_tilde", "complement term dropped after 1/sigma1 in the u correction",
-            "order_u", corrected.order_u, omitted.order_u,
-        )
-        rows.append(row)
-        confirmations.append(ok)
-    else:
-        rows.append(
-            "3,u_tilde,complement term dropped after 1/sigma1 in the u correction,"
-            "order_u,,,,not applicable (n=p)"
-        )
-        not_applicable = True
-
-    row, ok = audit_row(
-        4, "v_tilde", "V2 printed untransposed after sigma1 in the v correction"
-    )
-    rows.append(row)
-    confirmations.append(ok)
-
-    row, ok = order_row(
-        5, "v_tilde", "sign flipped after the E^T u1 term in the v correction",
-        "order_v", corrected.order_v, flipped.order_v,
-    )
-    rows.append(row)
-    confirmations.append(ok)
+    reports = dict(zip(variants, convergence_ladders(X, E, variants)))
+    findings = {f.errata_item: f for f in shape_audit_as_printed(n, p).findings}
+    corrected = reports[FormulaVariant.CORRECTED]
 
     print("item,formula,defect,evidence,corrected,defective,separation,status")
-    for row in rows:
-        print(row)
+    statuses = []
+    for d in CATALOG:
+        if not d.applies(n, p):
+            evidence, status = f"{d.metric},,,", "not applicable (n=p)"
+        elif d.variant:
+            good = getattr(corrected, d.metric)
+            bad = getattr(reports[d.variant], d.metric)
+            sep = good - bad
+            evidence = f"{d.metric},{_fmt(good)},{_fmt(bad)},{_fmt(sep)}"
+            status = "confirmed" if sep >= ORDER_SEPARATION else "not confirmed"
+        else:
+            f = findings[d.item]
+            evidence = f"shape-audit,{f.expected_dims},{f.printed_dims},"
+            status = "confirmed"
+        statuses.append(status)
+        print(f"{d.item},{d.formula},{d.defect},{evidence},{status}")
 
-    if not_applicable:
+    if not all(d.applies(n, p) for d in CATALOG):
         print(
             "error: the dropped-complement defect is not demonstrable when "
             "n == p (the complement is empty); rerun with n > p",
             file=sys.stderr,
         )
         return EXIT_NOT_DEMONSTRABLE
-    if not all(confirmations):
+    if any(status != "confirmed" for status in statuses):
         print("error: not all defects could be confirmed", file=sys.stderr)
         return EXIT_NOT_DEMONSTRABLE
     return EXIT_OK

@@ -67,10 +67,20 @@ class Svd:
     V: np.ndarray
 
 
+def _exponent(A: np.ndarray) -> int:
+    """The exponent e with max |A| / 2^e in [0.5, 1) (0 when A = 0)."""
+    return math.frexp(float(np.max(np.abs(A))))[1]
+
+
 def frobenius_norm(a) -> float:
-    """Square root of the sum of squared entries."""
+    """Square root of the sum of squared entries.  The squares are summed
+    on the entries scaled by 2^-e, e = _exponent(A), and the root is scaled
+    back, so the sum cannot overflow nor its leading squares underflow, and
+    frobenius_norm(2^j A) == 2^j frobenius_norm(A) exactly."""
     A = as_matrix(a, "A")
-    return float(np.sqrt(np.sum(A * A)))
+    e = _exponent(A)
+    scaled = np.ldexp(A, -e)
+    return math.ldexp(float(np.sqrt(np.sum(scaled * scaled))), e)
 
 
 def _rescale(W: np.ndarray, e: list, k: int) -> float:
@@ -189,7 +199,10 @@ def svd(x, max_sweeps: int = JACOBI_SWEEP_LIMIT) -> Svd:
     The sweeps run on column mantissas with their largest entry in
     [0.5, 1), each column scaled by its own power of two, and S is scaled
     back afterwards.  Raises ConvergenceFailure if the sweep budget is
-    exhausted (finite inputs converge well within the default limit).
+    exhausted, which the CLI reports with exit code 1.  Steep spectra can
+    exhaust the default budget: a 200x100 matrix with singular values
+    3 * 0.7^j may need 31-32 sweeps against JACOBI_SWEEP_LIMIT = 30
+    (ROADMAP item 2 tracks the fix).
     """
     X = as_matrix(x, "X")
     if X.shape[0] >= X.shape[1]:
@@ -236,12 +249,16 @@ def qr_orthonormal(a) -> np.ndarray:
     columns is reproduced up to roundoff).
 
     Raises RankDeficient when any |R[k, k]| falls at or below
-    QR_RANK_TOL times the Frobenius norm of the input.
+    QR_RANK_TOL times the Frobenius norm of the input.  The factorization
+    runs on A scaled by a power of two into max |A| in [0.5, 1), so the
+    reflector norms cannot overflow or underflow and Q is bitwise the same
+    for every power-of-two multiple of A.
     """
     A = as_matrix(a, "A")
     n, m = A.shape
     if n < m:
         raise DimensionMismatch(f"need rows >= cols, got {A.shape}")
+    A = np.ldexp(A, -_exponent(A))
     Q, R = _householder_qr(A)
     scale = frobenius_norm(A)
     diag = np.diag(R)[:m]

@@ -42,6 +42,7 @@ that cannot even be formed as matrix products.
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -168,6 +169,56 @@ class ShapeAuditReport:
     n: int
     p: int
     findings: tuple
+
+
+class Defect(NamedTuple):
+    """One row of the defect catalog of the defective printed expansion.
+
+    Numeric evidence (metric, variant): the variant's fitted order of the
+    metric drops below the corrected one.  Symbolic evidence (kind, term
+    and the expected/printed dims templates over n, p, m = p - 1 and
+    c = n - p): the shape audit's finding.
+    """
+
+    item: int
+    formula: str
+    defect: str
+    metric: str = ""
+    variant: FormulaVariant | None = None
+    kind: str = ""
+    term: str = ""
+    expected: str = ""
+    printed: str = ""
+
+    def applies(self, n: int, p: int) -> bool:
+        """False for a defect in the left complement when n == p (empty)."""
+        return n > p or not (self.variant and self.variant.omits_complement)
+
+
+# The sign defects are dimensionally silent, the transpose slips cannot be
+# formed at all, and the dropped complement shows both ways.
+CATALOG = (
+    Defect(1, "u_tilde", "sign flipped after the E v1 term in the u correction",
+           "order_u", FormulaVariant.SIGN_FLIPPED),
+    Defect(2, "u_tilde", "V2 printed untransposed after Sigma2 in the u correction",
+           kind="missing-transpose",
+           term="cross term Sigma2 V2 E^T u1 of the u correction",
+           expected="Sigma2 {m}x{m} @ V2^T {m}x{p} @ E^T {p}x{n} @ u1 {n} "
+                    "-> {m}-vector",
+           printed="Sigma2 {m}x{m} @ V2 {p}x{m}: inner dimensions {m} != {p}"),
+    Defect(3, "u_tilde", "complement term dropped after 1/sigma1 in the u correction",
+           "order_u", FormulaVariant.U3_OMITTED, kind="omitted-factor",
+           term="complement term of the u correction (U3 dropped after 1/sigma1)",
+           expected="U3 {n}x{c} @ U3^T {c}x{n} @ E {n}x{p} @ v1 {p} -> {n}-vector",
+           printed="U3^T E v1 -> {c}-vector added to {n}-vectors"),
+    Defect(4, "v_tilde", "V2 printed untransposed after sigma1 in the v correction",
+           kind="missing-transpose",
+           term="leading term sigma1 V2 E^T u1 of the v correction",
+           expected="V2^T {m}x{p} @ E^T {p}x{n} @ u1 {n} -> {m}-vector",
+           printed="V2 {p}x{m} @ E^T {p}x{n}: inner dimensions {m} != {p}"),
+    Defect(5, "v_tilde", "sign flipped after the E^T u1 term in the v correction",
+           "order_v", FormulaVariant.SIGN_FLIPPED),
+)
 
 
 def triplet_gap(full: Svd, k: int) -> float:
@@ -370,62 +421,18 @@ def transpose_dual_expansion(X, E, k: int = 1) -> TripletExpansion:
 def shape_audit_as_printed(n: int, p: int) -> ShapeAuditReport:
     """Symbolic dimension audit of the defective printed expansion.
 
-    Checks every product of the defective form against the basis shapes
+    Checks the products of the defective form against the basis shapes
     u1: n, U2: n x (p-1), U3: n x (n-p), v1: p, V2: p x (p-1),
-    Sigma2: (p-1) x (p-1), E: n x p.  Exactly the transpose slips and the
-    dropped complement factor are inconsistent; the sign defects are
-    dimensionally silent, which is why they need numerical evidence
-    instead.  No floating-point work happens here.
-
-    Findings carry the 1-based index of the defect in the catalog used by
-    the errata command (2 and 4 are the transpose slips, 3 the omission).
-    Requires n >= p >= 2; when n == p the complement is empty and only the
-    two transpose findings are reported.
+    Sigma2: (p-1) x (p-1), E: n x p, with no floating-point work.  The
+    findings are the CATALOG rows with symbolic evidence: the transpose
+    slips and, when n > p, the dropped complement factor.  The sign
+    defects are dimensionally silent.  Requires n >= p >= 2.
     """
     if p < 2 or n < p:
         raise InvalidDims(f"audit needs n >= p >= 2, got ({n}, {p})")
-    m = p - 1
-    findings = [
-        ShapeFinding(
-            errata_item=2,
-            kind="missing-transpose",
-            term="cross term Sigma2 V2 E^T u1 of the u correction",
-            expected_dims=(
-                f"Sigma2 {m}x{m} @ V2^T {m}x{p} @ E^T {p}x{n} @ u1 {n} "
-                f"-> {m}-vector"
-            ),
-            printed_dims=(
-                f"Sigma2 {m}x{m} @ V2 {p}x{m}: inner dimensions {m} != {p}"
-            ),
-        )
-    ]
-    if n > p:
-        findings.append(
-            ShapeFinding(
-                errata_item=3,
-                kind="omitted-factor",
-                term="complement term of the u correction (U3 dropped after "
-                "1/sigma1)",
-                expected_dims=(
-                    f"U3 {n}x{n - p} @ U3^T {n - p}x{n} @ E {n}x{p} @ v1 {p} "
-                    f"-> {n}-vector"
-                ),
-                printed_dims=(
-                    f"U3^T E v1 -> {n - p}-vector added to {n}-vectors"
-                ),
-            )
-        )
-    findings.append(
-        ShapeFinding(
-            errata_item=4,
-            kind="missing-transpose",
-            term="leading term sigma1 V2 E^T u1 of the v correction",
-            expected_dims=(
-                f"V2^T {m}x{p} @ E^T {p}x{n} @ u1 {n} -> {m}-vector"
-            ),
-            printed_dims=(
-                f"V2 {p}x{m} @ E^T {p}x{n}: inner dimensions {m} != {p}"
-            ),
-        )
-    )
-    return ShapeAuditReport(n=n, p=p, findings=tuple(findings))
+    dims = {"n": n, "p": p, "m": p - 1, "c": n - p}
+    return ShapeAuditReport(n=n, p=p, findings=tuple(
+        ShapeFinding(d.item, d.kind, d.term, d.expected.format(**dims),
+                     d.printed.format(**dims))
+        for d in CATALOG if d.kind and d.applies(n, p)
+    ))

@@ -11,10 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import parse_kv, run_cli
 
 import svdpert as sp
+import svdpert.cli
+from svdpert import FormulaVariant
 
 BENCH_SV = "3,2.2,1.5,1,0.4"
 
@@ -228,6 +232,39 @@ def test_verify_normalizes_direction(tmp_path):
     assert a[1] == b[1]
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=-900, max_value=900))
+@example(j=900)
+@example(j=-900)
+def test_verify_direction_power_of_two_scaling_is_bitwise(tmp_path_factory, j):
+    d = tmp_path_factory.mktemp("scaled")
+    x, e = write_benchmark(d)
+    scaled = d / "scaled.mtx"
+    sp.write_matrix(scaled, sp.read_matrix(e) * 2.0**j)
+    runs = []
+    for edir in (e, scaled):
+        out = d / f"{edir.stem}.csv"
+        code, stdout, err = run_cli(
+            ["verify", "--x", str(x), "--edir", str(edir), "--out", str(out)]
+        )
+        runs.append((code, stdout, err, out.read_bytes()))
+    assert runs[0][0] == 0
+    assert runs[1] == runs[0]
+
+
+@pytest.mark.parametrize("scale", [1e170, 1e-170])
+def test_verify_far_scaled_direction_is_normalized(tmp_path, scale):
+    x, e = write_benchmark(tmp_path)
+    scaled = tmp_path / "scaled.mtx"
+    sp.write_matrix(scaled, scale * sp.read_matrix(e))
+    a = run_cli(["verify", "--x", str(x), "--edir", str(e)])
+    b = run_cli(["verify", "--x", str(x), "--edir", str(scaled)])
+    assert b[0] == a[0] == 0, b[2]
+    ka, kb = parse_kv(a[1]), parse_kv(b[1])
+    for key in ("order_u", "order_v", "order_sigma"):
+        assert abs(float(kb[key]) - float(ka[key])) <= 1e-9
+
+
 def test_verify_zero_direction_is_usage_error(tmp_path):
     x, e = write_benchmark(tmp_path)
     zero = tmp_path / "zero.mtx"
@@ -304,6 +341,41 @@ def test_errata_square_case_exits_5():
     # the other four defects are still confirmed on the square instance
     others = lines[1:3] + lines[4:]
     assert all(line.endswith(",confirmed") for line in others)
+
+
+@pytest.mark.parametrize("n, p", [(5, 3), (3, 3)])
+def test_errata_rows_follow_the_catalog(n, p):
+    code, stdout, _ = run_cli(["errata", "--n", str(n), "--p", str(p)])
+    assert code == (0 if n > p else 5)
+    rows = [line.split(",") for line in stdout.splitlines()[1:]]
+    assert len(rows) == len(sp.CATALOG)
+    findings = {f.errata_item: f
+                for f in sp.shape_audit_as_printed(n, p).findings}
+    for row, d in zip(rows, sp.CATALOG):
+        assert row[:3] == [str(d.item), d.formula, d.defect]
+        if d.variant is None:
+            f = findings[d.item]
+            assert row[3:6] == ["shape-audit", f.expected_dims, f.printed_dims]
+        else:
+            assert row[3] == d.metric
+    # the dropped complement has no numeric evidence on a square instance
+    statuses = [row[-1] for row in rows]
+    assert statuses.count("not applicable (n=p)") == (0 if n > p else 1)
+
+
+def test_errata_unconfirmed_defect_exits_5(monkeypatch):
+    # a "defect" that is the corrected form itself cannot separate
+    no_defect = sp.Defect(6, "u_tilde", "corrected form", "order_u",
+                          FormulaVariant.CORRECTED)
+    monkeypatch.setattr(svdpert.cli, "CATALOG", (*sp.CATALOG, no_defect))
+    code, stdout, err = run_cli(["errata"])
+    assert code == 5
+    lines = stdout.splitlines()
+    assert len(lines) == 7
+    assert all(line.endswith(",confirmed") for line in lines[1:6])
+    assert lines[6].startswith("6,u_tilde,corrected form,order_u,")
+    assert lines[6].endswith(",0,not confirmed")
+    assert "not all defects could be confirmed" in err
 
 
 def test_errata_rejects_bad_dims():

@@ -4,9 +4,11 @@ Oracles are hand-computed or structural (reconstruction, orthogonality),
 never a second call into the routine under test.
 """
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import svdpert as sp
@@ -245,8 +247,41 @@ def test_qr_wide_raises():
         sp.qr_orthonormal(np.ones((2, 3)))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=-900, max_value=900),
+       st.integers(min_value=0, max_value=2**32))
+@example(j=900, seed=3)
+@example(j=-900, seed=3)
+def test_qr_power_of_two_scaling_is_bitwise(j, seed):
+    a = sp.SplitMix64(seed).normal_matrix(7, 4)
+    assert np.array_equal(sp.qr_orthonormal(a * 2.0**j), sp.qr_orthonormal(a))
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-170, 1e300])
+def test_qr_far_scaled_identity(scale):
+    # reflector norms overflowed (or underflowed) here before the prescale
+    q = sp.qr_orthonormal(scale * np.eye(3))
+    assert np.max(np.abs(q - np.eye(3))) <= 1e-15
+
+
 # ------------------------------------------------------------------- norms
 
 def test_frobenius_norm_hand_case():
     assert sp.frobenius_norm(np.array([[3.0, 4.0]])) == 5.0
 
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=-900, max_value=900),
+       st.integers(min_value=0, max_value=2**32))
+@example(j=900, seed=5)
+@example(j=-900, seed=5)
+def test_frobenius_norm_power_of_two_scaling_is_exact(j, seed):
+    a = sp.SplitMix64(seed).normal_matrix(5, 3)
+    assert sp.frobenius_norm(a * 2.0**j) == math.ldexp(sp.frobenius_norm(a), j)
+
+
+def test_frobenius_norm_far_scaled_entries():
+    # the unscaled sum of squares gives inf and 0.0 here
+    assert sp.frobenius_norm(np.full((2, 2), 1e200)) == 2e200
+    assert sp.frobenius_norm(np.full((2, 2), 1e-170)) == 2e-170
+    assert sp.frobenius_norm(np.zeros((2, 3))) == 0.0

@@ -453,6 +453,22 @@ def test_shape_audit_minimal_widths():
     assert "1x1 @ V2 2x1" in report.findings[0].printed_dims
 
 
+def test_shape_audit_findings_are_the_catalog_audit_rows():
+    audited = {d.item: d for d in sp.CATALOG if d.kind}
+    assert sorted(audited) == [2, 3, 4]
+    for p in range(2, 9):
+        for n in range(p, 12):
+            findings = sp.shape_audit_as_printed(n, p).findings
+            assert [f.errata_item for f in findings] == (
+                [2, 3, 4] if n > p else [2, 4])
+            dims = {"n": n, "p": p, "m": p - 1, "c": n - p}
+            for f in findings:
+                d = audited[f.errata_item]
+                assert (f.kind, f.term) == (d.kind, d.term)
+                assert f.expected_dims == d.expected.format(**dims)
+                assert f.printed_dims == d.printed.format(**dims)
+
+
 def test_shape_audit_rejects_bad_dims():
     with pytest.raises(InvalidDims):
         sp.shape_audit_as_printed(2, 3)
