@@ -49,8 +49,6 @@ from .perturbation import (
     Defect,
     FormulaVariant,
     Projections,
-    ShapeAuditReport,
-    ShapeFinding,
     SvdPartition,
     TripletExpansion,
     compute_projections,
@@ -92,8 +90,6 @@ __all__ = [
     "Projections",
     "RankDeficient",
     "ResidualSample",
-    "ShapeAuditReport",
-    "ShapeFinding",
     "SingularSystem",
     "SpectrumSpec",
     "SplitMix64",

@@ -16,6 +16,7 @@ All numeric output uses 17 significant digits.  Output blocks are
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -34,22 +35,18 @@ from .errors import (
     TripletMatchAmbiguous,
     UnsupportedFormat,
 )
-from .linalg import frobenius_norm, svd
-from .mmio import read_matrix, write_matrix, write_report_csv
-from .perturbation import (
-    CATALOG,
-    FormulaVariant,
-    expand_triplet,
-    partition_svd,
-    shape_audit_as_printed,
-    tall_problem,
+from .linalg import _exponent, frobenius_norm
+from .mmio import _fmt, read_matrix, write_matrix, write_report_csv
+from .perturbation import CATALOG, FormulaVariant, expand_matrix
+from .randmat import (
+    _MASK64,
+    SpectrumSpec,
+    matrix_with_spectrum,
+    perturbation_direction,
 )
-from .randmat import SpectrumSpec, matrix_with_spectrum, perturbation_direction
 
 R2_GATE = 0.98
 ORDER_SEPARATION = 0.5
-
-_MASK64 = (1 << 64) - 1
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -59,12 +56,15 @@ EXIT_UNRELIABLE = 4
 EXIT_NOT_DEMONSTRABLE = 5
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
-
-
 def _fmt_vec(v) -> str:
     return " ".join(_fmt(x) for x in np.asarray(v).reshape(-1))
+
+
+def _fmt_norm(v) -> str:
+    """Euclidean norm of v, taken on v scaled by 2^-e, e = _exponent(v),
+    and scaled back, so that it neither overflows nor underflows."""
+    e = _exponent(v)
+    return _fmt(math.ldexp(float(np.linalg.norm(np.ldexp(v, -e))), e))
 
 
 def _parse_seed(text: str) -> int:
@@ -149,31 +149,6 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _print_expansion(X, E, k, variant) -> None:
-    Xo, Eo, swapped = tall_problem(X, E)
-    part = partition_svd(svd(Xo), k)
-    exp = expand_triplet(part, Eo, variant)
-    proj, co = exp.projections, exp.coefficients
-    u, v = (exp.v_tilde, exp.u_tilde) if swapped else (exp.u_tilde, exp.v_tilde)
-    print(f"rows: {X.shape[0]}")
-    print(f"cols: {X.shape[1]}")
-    print(f"k: {k}")
-    print(f"variant: {variant.value}")
-    print(f"transposed: {'yes' if swapped else 'no'}")
-    print(f"sigma1: {_fmt(part.sigma1)}")
-    print(f"theta1: {_fmt(co.theta1)}")
-    print(f"sigma_tilde: {_fmt(exp.sigma_tilde)}")
-    print(f"u_tilde: {_fmt_vec(u)}")
-    print(f"v_tilde: {_fmt_vec(v)}")
-    print(f"phi1: {_fmt(proj.phi1)}")
-    print(f"f12: {_fmt_vec(proj.f12)}".rstrip())
-    print(f"f21: {_fmt_vec(proj.f21)}".rstrip())
-    print(f"f31_norm: {_fmt(np.linalg.norm(proj.f31))}")
-    print(f"g2: {_fmt_vec(co.g2)}".rstrip())
-    print(f"g3_norm: {_fmt(np.linalg.norm(co.g3))}")
-    print(f"h2: {_fmt_vec(co.h2)}".rstrip())
-
-
 def _cmd_expand(args) -> int:
     X = read_matrix(args.x)
     E = read_matrix(args.e)
@@ -181,7 +156,25 @@ def _cmd_expand(args) -> int:
     if not 1 <= args.k <= nmin:
         print(f"error: --k must be in 1..{nmin}, got {args.k}", file=sys.stderr)
         return EXIT_USAGE
-    _print_expansion(X, E, args.k, FormulaVariant(args.variant))
+    exp = expand_matrix(X, E, args.k, FormulaVariant(args.variant))
+    proj, co = exp.projections, exp.coefficients
+    print(f"rows: {X.shape[0]}")
+    print(f"cols: {X.shape[1]}")
+    print(f"k: {args.k}")
+    print(f"variant: {exp.variant.value}")
+    print(f"transposed: {'yes' if X.shape[0] < X.shape[1] else 'no'}")
+    print(f"sigma1: {_fmt(exp.sigma1)}")
+    print(f"theta1: {_fmt(co.theta1)}")
+    print(f"sigma_tilde: {_fmt(exp.sigma_tilde)}")
+    print(f"u_tilde: {_fmt_vec(exp.u_tilde)}")
+    print(f"v_tilde: {_fmt_vec(exp.v_tilde)}")
+    print(f"phi1: {_fmt(proj.phi1)}")
+    print(f"f12: {_fmt_vec(proj.f12)}".rstrip())
+    print(f"f21: {_fmt_vec(proj.f21)}".rstrip())
+    print(f"f31_norm: {_fmt_norm(proj.f31)}")
+    print(f"g2: {_fmt_vec(co.g2)}".rstrip())
+    print(f"g3_norm: {_fmt_norm(co.g3)}")
+    print(f"h2: {_fmt_vec(co.h2)}".rstrip())
     return EXIT_OK
 
 
@@ -238,7 +231,6 @@ def _cmd_errata(args) -> int:
         (FormulaVariant.CORRECTED, *(d.variant for d in CATALOG if d.variant))
     ))
     reports = dict(zip(variants, convergence_ladders(X, E, variants)))
-    findings = {f.errata_item: f for f in shape_audit_as_printed(n, p).findings}
     corrected = reports[FormulaVariant.CORRECTED]
 
     print("item,formula,defect,evidence,corrected,defective,separation,status")
@@ -253,8 +245,8 @@ def _cmd_errata(args) -> int:
             evidence = f"{d.metric},{_fmt(good)},{_fmt(bad)},{_fmt(sep)}"
             status = "confirmed" if sep >= ORDER_SEPARATION else "not confirmed"
         else:
-            f = findings[d.item]
-            evidence = f"shape-audit,{f.expected_dims},{f.printed_dims},"
+            expected, printed = d.dims(n, p)
+            evidence = f"shape-audit,{expected},{printed},"
             status = "confirmed"
         statuses.append(status)
         print(f"{d.item},{d.formula},{d.defect},{evidence},{status}")

@@ -40,6 +40,7 @@ dimension audit exposes the two transpose slips (V2 where V2^T belongs)
 that cannot even be formed as matrix products.
 """
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple
@@ -145,30 +146,11 @@ class TripletExpansion:
 
     u_tilde: np.ndarray
     v_tilde: np.ndarray
+    sigma1: float
     sigma_tilde: float
     variant: FormulaVariant
     projections: Projections
     coefficients: CorrectionCoefficients
-
-
-@dataclass(frozen=True)
-class ShapeFinding:
-    """One dimensionally inconsistent term of the defective printed form."""
-
-    errata_item: int
-    kind: str
-    term: str
-    expected_dims: str
-    printed_dims: str
-
-
-@dataclass(frozen=True)
-class ShapeAuditReport:
-    """Outcome of the symbolic dimension audit for given (n, p)."""
-
-    n: int
-    p: int
-    findings: tuple
 
 
 class Defect(NamedTuple):
@@ -193,6 +175,11 @@ class Defect(NamedTuple):
     def applies(self, n: int, p: int) -> bool:
         """False for a defect in the left complement when n == p (empty)."""
         return n > p or not (self.variant and self.variant.omits_complement)
+
+    def dims(self, n: int, p: int) -> tuple:
+        """The (expected, printed) dims templates filled in for (n, p)."""
+        d = {"n": n, "p": p, "m": p - 1, "c": n - p}
+        return self.expected.format(**d), self.printed.format(**d)
 
 
 # The sign defects are dimensionally silent, the transpose slips cannot be
@@ -224,18 +211,17 @@ CATALOG = (
 def triplet_gap(full: Svd, k: int) -> float:
     """Absolute spectral separation of the k-th singular value.
 
-    Measures the distance to every other singular value; when n > p the
-    left complement contributes singular value 0, so sigma_k itself joins
-    the candidate set.
+    Measures the distance to every other singular value; when n != p the
+    complement of the shorter side contributes singular value 0, so
+    sigma_k itself joins the candidate set.  The gap is the same for the
+    SVD of X and of X^T.
     """
-    n = full.U.shape[0]
-    p = full.V.shape[0]
     S = full.S
     if not 1 <= k <= len(S):
         raise IndexOutOfRange(f"k must be in 1..{len(S)}, got {k}")
     sk = float(S[k - 1])
     diffs = [abs(sk - float(S[j])) for j in range(len(S)) if j != k - 1]
-    if n > p:
+    if full.U.shape[0] != full.V.shape[0]:
         diffs.append(sk)
     return min(diffs) if diffs else sk
 
@@ -260,7 +246,8 @@ def tall_problem(X, E):
 def partition_svd(full: Svd, k: int) -> SvdPartition:
     """Split a thin SVD (taller-or-square orientation) around triplet k.
 
-    Raises GapTooSmall when the separation of sigma_k (including the zero
+    Raises IndexOutOfRange (from triplet_gap) unless 1 <= k <= p, and
+    GapTooSmall when the separation of sigma_k (including the zero
     spectrum of the complement when n > p) falls at or below GAP_TOL
     relative to sigma_max, or when sigma_k itself is zero.
     """
@@ -268,8 +255,6 @@ def partition_svd(full: Svd, k: int) -> SvdPartition:
     p = full.V.shape[0]
     if n < p:
         raise InvalidDims(f"need taller-or-square orientation, got {n}x{p}")
-    if not 1 <= k <= p:
-        raise IndexOutOfRange(f"k must be in 1..{p}, got {k}")
     S = full.S
     smax = float(S[0])
     gap = triplet_gap(full, k)
@@ -279,6 +264,8 @@ def partition_svd(full: Svd, k: int) -> SvdPartition:
     if sigma1 <= GAP_TOL * smax:
         raise GapTooSmall(k, sigma1)
     keep = np.arange(p) != (k - 1)
+    # .copy() keeps these C-ordered (mask indexing gives F-ordered copies);
+    # the memory order sets the BLAS summation order, hence the output bits
     return SvdPartition(
         k=k,
         sigma1=sigma1,
@@ -352,14 +339,27 @@ def variant_coefficients(
     with the minus sign (negated cross terms) for sign-flipped variants.
     Complement omission is an assembly-time defect and leaves the
     coefficients untouched.
+
+    g2 and h2 do not change when sigma1, Sigma2, f12 and f21 are scaled
+    together, so they are formed on those scaled by 2^-e, e the exponent
+    of sigma1: the squares then neither overflow nor underflow, and g2, h2
+    are bitwise invariant when X and E are scaled by 2^j.  Squares are
+    products, not **, which calls the C library's pow: that is not
+    correctly rounded.
     """
-    denom = part.sigma1**2 - part.Sigma2**2
-    if np.any(np.abs(denom) <= (GAP_TOL * part.sigma1) ** 2):
-        worst = float(np.min(np.abs(denom)))
+    e = math.frexp(part.sigma1)[1]
+    s1 = math.ldexp(part.sigma1, -e)
+    S2 = np.ldexp(part.Sigma2, -e)
+    f12 = np.ldexp(proj.f12, -e)
+    f21 = np.ldexp(proj.f21, -e)
+    denom = s1 * s1 - S2 * S2
+    tol = GAP_TOL * s1
+    if np.any(np.abs(denom) <= tol * tol):
+        worst = math.ldexp(float(np.min(np.abs(denom))), 2 * e)
         raise GapTooSmall(part.k, worst)
-    cross = -part.Sigma2 if variant.flips_cross_sign else part.Sigma2
-    g2 = (part.sigma1 * proj.f21 + cross * proj.f12) / denom
-    h2 = (part.sigma1 * proj.f12 + cross * proj.f21) / denom
+    cross = -S2 if variant.flips_cross_sign else S2
+    g2 = (s1 * f21 + cross * f12) / denom
+    h2 = (s1 * f12 + cross * f21) / denom
     g3 = proj.f31 / part.sigma1
     return CorrectionCoefficients(g2=g2, g3=g3, h2=h2, theta1=proj.phi1)
 
@@ -382,6 +382,7 @@ def expand_triplet(
     return TripletExpansion(
         u_tilde=u,
         v_tilde=v,
+        sigma1=part.sigma1,
         sigma_tilde=part.sigma1 + co.theta1,
         variant=variant,
         projections=proj,
@@ -418,21 +419,17 @@ def transpose_dual_expansion(X, E, k: int = 1) -> TripletExpansion:
     return replace(dual, u_tilde=dual.v_tilde, v_tilde=dual.u_tilde)
 
 
-def shape_audit_as_printed(n: int, p: int) -> ShapeAuditReport:
+def shape_audit_as_printed(n: int, p: int) -> tuple:
     """Symbolic dimension audit of the defective printed expansion.
 
     Checks the products of the defective form against the basis shapes
     u1: n, U2: n x (p-1), U3: n x (n-p), v1: p, V2: p x (p-1),
     Sigma2: (p-1) x (p-1), E: n x p, with no floating-point work.  The
-    findings are the CATALOG rows with symbolic evidence: the transpose
-    slips and, when n > p, the dropped complement factor.  The sign
+    findings are the CATALOG rows with symbolic evidence that apply at
+    (n, p): the transpose slips and, when n > p, the dropped complement
+    factor; Defect.dims(n, p) gives each one's dimensions.  The sign
     defects are dimensionally silent.  Requires n >= p >= 2.
     """
     if p < 2 or n < p:
         raise InvalidDims(f"audit needs n >= p >= 2, got ({n}, {p})")
-    dims = {"n": n, "p": p, "m": p - 1, "c": n - p}
-    return ShapeAuditReport(n=n, p=p, findings=tuple(
-        ShapeFinding(d.item, d.kind, d.term, d.expected.format(**dims),
-                     d.printed.format(**dims))
-        for d in CATALOG if d.kind and d.applies(n, p)
-    ))
+    return tuple(d for d in CATALOG if d.kind and d.applies(n, p))

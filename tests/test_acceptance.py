@@ -113,14 +113,14 @@ def test_05_complement_term_carries_the_tall_correction():
 
 def test_06_shape_audit_finds_exactly_the_formable_defects():
     tall = sp.shape_audit_as_printed(5, 3)
-    assert len(tall.findings) == 3
-    assert [f.errata_item for f in tall.findings] == [2, 3, 4]
-    assert [f.kind for f in tall.findings] == [
+    assert len(tall) == 3
+    assert [f.item for f in tall] == [2, 3, 4]
+    assert [f.kind for f in tall] == [
         "missing-transpose", "omitted-factor", "missing-transpose"
     ]
     square = sp.shape_audit_as_printed(3, 3)
-    assert len(square.findings) == 2
-    assert [f.errata_item for f in square.findings] == [2, 4]
+    assert len(square) == 2
+    assert [f.item for f in square] == [2, 4]
     verdict(6, "shape audit reports 3 findings for 5x3 and 2 for 3x3")
 
 

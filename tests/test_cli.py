@@ -4,6 +4,7 @@ Commands run in process through main(); one subprocess smoke test covers
 the installed entry point.
 """
 
+import functools
 import os
 import subprocess
 import sys
@@ -18,6 +19,8 @@ from helpers import parse_kv, run_cli
 
 import svdpert as sp
 import svdpert.cli
+import svdpert.convergence
+import svdpert.perturbation
 from svdpert import FormulaVariant
 
 BENCH_SV = "3,2.2,1.5,1,0.4"
@@ -189,6 +192,38 @@ def test_expand_degenerate_gap_exits_3(tmp_path):
     assert "separation" in err
 
 
+def test_expand_far_scaled_input_is_scaled_output(tmp_path):
+    x, e_dir = write_benchmark(tmp_path)
+    e, big_x, big_e = (tmp_path / f"{name}.mtx"
+                       for name in ("small_e", "big_x", "big_e"))
+    sp.write_matrix(e, 1e-3 * sp.read_matrix(e_dir))
+    sp.write_matrix(big_x, 1e160 * sp.read_matrix(x))
+    sp.write_matrix(big_e, 1e157 * sp.read_matrix(e_dir))
+    _, stdout, _ = run_cli(["expand", "--x", str(x), "--e", str(e)])
+    code, big_stdout, err = run_cli(
+        ["expand", "--x", str(big_x), "--e", str(big_e)])
+    assert code == 0, err
+    base, big = parse_kv(stdout), parse_kv(big_stdout)
+    for key, scale in (("sigma1", 1e160), ("f31_norm", 1e160),
+                       ("g3_norm", 1.0), ("g2", 1.0), ("u_tilde", 1.0)):
+        want = [scale * float(t) for t in base[key].split()]
+        got = [float(t) for t in big[key].split()]
+        assert got == pytest.approx(want, rel=1e-12), key
+
+
+@pytest.mark.parametrize("command", ["expand", "verify"])
+def test_svd_convergence_failure_exits_1(tmp_path, monkeypatch, command):
+    x, e = write_benchmark(tmp_path)
+    one_sweep = functools.partial(sp.svd, max_sweeps=1)
+    monkeypatch.setattr(svdpert.perturbation, "svd", one_sweep)
+    monkeypatch.setattr(svdpert.convergence, "svd", one_sweep)
+    e_flag = "--e" if command == "expand" else "--edir"
+    code, stdout, err = run_cli([command, "--x", str(x), e_flag, str(e)])
+    assert code == 1
+    assert "did not converge" in err
+    assert stdout == ""
+
+
 # ------------------------------------------------------------------ verify
 
 def test_verify_benchmark_corrected(tmp_path):
@@ -349,13 +384,12 @@ def test_errata_rows_follow_the_catalog(n, p):
     assert code == (0 if n > p else 5)
     rows = [line.split(",") for line in stdout.splitlines()[1:]]
     assert len(rows) == len(sp.CATALOG)
-    findings = {f.errata_item: f
-                for f in sp.shape_audit_as_printed(n, p).findings}
+    findings = {f.item: f for f in sp.shape_audit_as_printed(n, p)}
     for row, d in zip(rows, sp.CATALOG):
         assert row[:3] == [str(d.item), d.formula, d.defect]
         if d.variant is None:
             f = findings[d.item]
-            assert row[3:6] == ["shape-audit", f.expected_dims, f.printed_dims]
+            assert row[3:6] == ["shape-audit", *f.dims(n, p)]
         else:
             assert row[3] == d.metric
     # the dropped complement has no numeric evidence on a square instance

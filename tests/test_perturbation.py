@@ -6,9 +6,11 @@ exact decomposition of the perturbed matrix, and algebraic identities
 (linearity, orthogonality of corrections, back substitution).
 """
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import make_instance
@@ -108,6 +110,20 @@ def test_triplet_gap_cases():
     tall = sp.svd(diag_embedded([3.0, 0.5], 4))
     # distance to sigma_1 is 2.5 but the zero spectrum is closer
     assert sp.triplet_gap(tall, 2) == 0.5
+    # ... also when the zero comes from the right complement
+    wide = sp.svd(np.array([[3.0, 0.0, 0.0], [0.0, 1e-3, 0.0]]))
+    assert sp.triplet_gap(wide, 2) == 1e-3
+
+
+@pytest.mark.parametrize("x", [
+    sp.SplitMix64(11).normal_matrix(6, 4),
+    sp.SplitMix64(11).normal_matrix(4, 6),
+    # square with orthogonal rows and columns: exact in either orientation
+    np.array([[0.0, 2.0, 0.0], [3.0, 0.0, 0.0], [0.0, 0.0, 1e-3]]),
+], ids=["tall", "wide", "square"])
+def test_triplet_gap_is_the_same_for_x_and_its_transpose(x):
+    for k in range(1, min(x.shape) + 1):
+        assert sp.triplet_gap(sp.svd(x), k) == sp.triplet_gap(sp.svd(x.T), k)
 
 
 # ------------------------------------------------------------- projections
@@ -424,33 +440,66 @@ def test_expand_triplet_returns_its_projections_and_coefficients():
     assert exp.coefficients.theta1 == co.theta1
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=-900, max_value=900),
+       st.integers(min_value=0, max_value=2**32))
+@example(j=900, seed=3)
+@example(j=-900, seed=3)
+@example(j=520, seed=3)
+@example(j=-520, seed=3)
+@example(j=-600, seed=3)
+def test_expand_power_of_two_scaling_is_bitwise(j, seed):
+    # scaling X and E by 2^j scales every value by exactly 2^j and leaves
+    # every vector and coefficient bitwise in place, across the double range
+    for n, p, wide in ((6, 4, False), (6, 4, True), (4, 4, False), (5, 1, False)):
+        x, e = make_instance(n, p, seed)
+        x, e = (x.T, e.T) if wide else (x, e)
+        for k in range(1, p + 1):
+            for variant in FormulaVariant:
+                base = sp.expand_matrix(x, DELTA * e, k, variant)
+                got = sp.expand_matrix(np.ldexp(x, j), np.ldexp(DELTA * e, j),
+                                       k, variant)
+                for a, b, names in ((got, base, ("u_tilde", "v_tilde")),
+                                    (got.coefficients, base.coefficients,
+                                     ("g2", "g3", "h2"))):
+                    for name in names:
+                        assert np.array_equal(getattr(a, name),
+                                              getattr(b, name)), name
+                for a, b in ((got.sigma1, base.sigma1),
+                             (got.sigma_tilde, base.sigma_tilde),
+                             (got.coefficients.theta1, base.coefficients.theta1),
+                             (got.projections.phi1, base.projections.phi1)):
+                    assert a == math.ldexp(b, j)
+                assert np.array_equal(got.projections.f31,
+                                      np.ldexp(base.projections.f31, j))
+
+
 # ------------------------------------------------------------- shape audit
 
 def test_shape_audit_tall_reports_three_findings():
-    report = sp.shape_audit_as_printed(5, 3)
-    assert report.n == 5 and report.p == 3
-    assert len(report.findings) == 3
-    items = [f.errata_item for f in report.findings]
-    kinds = [f.kind for f in report.findings]
+    findings = sp.shape_audit_as_printed(5, 3)
+    assert len(findings) == 3
+    items = [f.item for f in findings]
+    kinds = [f.kind for f in findings]
     assert items == [2, 3, 4]
     assert kinds.count("missing-transpose") == 2
     assert kinds.count("omitted-factor") == 1
     # concrete dimensions appear in the explanation strings
-    assert "2x2 @ V2 3x2" in report.findings[0].printed_dims
-    assert "2 != 3" in report.findings[0].printed_dims
+    assert "2x2 @ V2 3x2" in findings[0].dims(5, 3)[1]
+    assert "2 != 3" in findings[0].dims(5, 3)[1]
 
 
 def test_shape_audit_square_drops_complement_finding():
-    report = sp.shape_audit_as_printed(3, 3)
-    assert len(report.findings) == 2
-    assert [f.errata_item for f in report.findings] == [2, 4]
-    assert all(f.kind == "missing-transpose" for f in report.findings)
+    findings = sp.shape_audit_as_printed(3, 3)
+    assert len(findings) == 2
+    assert [f.item for f in findings] == [2, 4]
+    assert all(f.kind == "missing-transpose" for f in findings)
 
 
 def test_shape_audit_minimal_widths():
-    report = sp.shape_audit_as_printed(4, 2)
-    assert len(report.findings) == 3
-    assert "1x1 @ V2 2x1" in report.findings[0].printed_dims
+    findings = sp.shape_audit_as_printed(4, 2)
+    assert len(findings) == 3
+    assert "1x1 @ V2 2x1" in findings[0].dims(4, 2)[1]
 
 
 def test_shape_audit_findings_are_the_catalog_audit_rows():
@@ -458,15 +507,15 @@ def test_shape_audit_findings_are_the_catalog_audit_rows():
     assert sorted(audited) == [2, 3, 4]
     for p in range(2, 9):
         for n in range(p, 12):
-            findings = sp.shape_audit_as_printed(n, p).findings
-            assert [f.errata_item for f in findings] == (
+            findings = sp.shape_audit_as_printed(n, p)
+            assert [f.item for f in findings] == (
                 [2, 3, 4] if n > p else [2, 4])
             dims = {"n": n, "p": p, "m": p - 1, "c": n - p}
             for f in findings:
-                d = audited[f.errata_item]
+                d = audited[f.item]
                 assert (f.kind, f.term) == (d.kind, d.term)
-                assert f.expected_dims == d.expected.format(**dims)
-                assert f.printed_dims == d.printed.format(**dims)
+                assert f.dims(n, p) == (d.expected.format(**dims),
+                                        d.printed.format(**dims))
 
 
 def test_shape_audit_rejects_bad_dims():
