@@ -10,11 +10,11 @@ norms.  It is run on the taller orientation (the input is transposed
 internally when rows < cols), so ``X = U @ np.diag(S) @ V.T`` with U n x r,
 V p x r and ``r = min(n, p)``.  No complement of the left basis is built:
 callers that need it use the projector ``I - U U^T`` instead.  Each
-column is carried as a mantissa times its own power of two, so that a
-column far below the largest one keeps full relative accuracy.  That
-scaling is exact for every entry that neither is nor becomes subnormal, so
-it changes no bit of U or V against unscaled sweeps, and it keeps the
-sweeps clear of overflow and underflow over the whole double range.
+column is carried as a mantissa times its own power of two, renormalized
+every sweep, so a column far below the largest one, or cancelled far below
+its starting scale, keeps full relative accuracy.  The scaling is exact for
+entries that neither are nor become subnormal, so it changes no bit of U or
+V against unscaled sweeps and keeps them clear of overflow and underflow.
 """
 
 import math
@@ -25,13 +25,10 @@ import numpy as np
 from .errors import ConvergenceFailure, DimensionMismatch, RankDeficient
 
 # Convergence / rank thresholds.  JACOBI_TOL is relative to the geometric
-# mean of the two column norms; a Jacobi column mantissa whose squared norm
-# leaves [JACOBI_NORM2_MIN, JACOBI_NORM2_MAX] is rescaled by a power of two;
-# QR_RANK_TOL is relative to the Frobenius norm of the factored matrix.
+# mean of the two column norms; QR_RANK_TOL is relative to the Frobenius norm
+# of the factored matrix.
 JACOBI_SWEEP_LIMIT = 30
 JACOBI_TOL = 1e-14
-JACOBI_NORM2_MIN = 2.0**-200
-JACOBI_NORM2_MAX = 2.0**200
 QR_RANK_TOL = 1e-13
 
 
@@ -83,17 +80,6 @@ def frobenius_norm(a) -> float:
     return math.ldexp(float(np.sqrt(np.sum(scaled * scaled))), e)
 
 
-def _rescale(W: np.ndarray, e: list, k: int) -> float:
-    """Rescale column k of W by the power of two that brings its squared
-    norm into [0.5, 2), record it in e[k], and return the new squared
-    norm."""
-    col = W[:, k]
-    shift = math.frexp(float(col @ col))[1] // 2
-    np.ldexp(col, -shift, out=col)
-    e[k] += shift
-    return float(col @ col)
-
-
 def _rotation(a: float, b: float, c: float, d: int):
     """Jacobi rotation of the columns x = 2^ei wi and y = 2^ej wj, given
     the mantissa Gram entries a = wi.wi, b = wj.wj, c = wi.wj and
@@ -123,20 +109,25 @@ def _jacobi_sweeps(X: np.ndarray, max_sweeps: int):
     """Rotate column pairs of X until mutually orthogonal.
 
     Returns (W, e, V) with X @ V = W * 2^e (column k of W times 2^e[k]) and
-    V orthogonal.  Each column is carried as a mantissa W[:, k], started
-    with its largest entry in [0.5, 1), and its own power of two, so the
-    Gram entries of columns far below the largest one neither underflow
-    nor lose digits.  Power-of-two scaling is exact, so wherever unscaled
-    sweeps would stay clear of overflow and underflow the rotations are
-    bitwise theirs.  Sweep order is fixed (row-cyclic over pairs i < j), so
-    the result is deterministic.
+    V orthogonal.  Each column is carried as a mantissa W[:, k] and its own
+    power of two.  Every sweep starts by rescaling each mantissa so that its
+    largest entry lies in [0.5, 1), so the Gram entries of a column far
+    below the largest one, or cancelled far below its own starting scale by
+    the previous sweep, neither underflow nor lose digits.  Power-of-two
+    scaling is exact and the rotation angles depend only on the true
+    columns, so wherever unscaled sweeps would stay clear of overflow and
+    underflow the rotations are bitwise theirs.  Sweep order is fixed
+    (row-cyclic over pairs i < j), so the result is deterministic.
     """
     p = X.shape[1]
-    _, exponents = np.frexp(np.max(np.abs(X), axis=0))
-    W = np.ldexp(X, -exponents)
-    e = exponents.tolist()
+    W = X
+    e = np.zeros(p, dtype=int)
     V = np.eye(p)
     for _ in range(max_sweeps):
+        _, exponents = np.frexp(np.max(np.abs(W), axis=0))
+        W = np.ldexp(W, -exponents)
+        e += exponents
+        exps = e.tolist()
         rotated = False
         for i in range(p - 1):
             for j in range(i + 1, p):
@@ -144,21 +135,17 @@ def _jacobi_sweeps(X: np.ndarray, max_sweeps: int):
                 wj = W[:, j]
                 a = float(wi @ wi)
                 b = float(wj @ wj)
-                if not JACOBI_NORM2_MIN <= a <= JACOBI_NORM2_MAX and a > 0.0:
-                    a = _rescale(W, e, i)
-                if not JACOBI_NORM2_MIN <= b <= JACOBI_NORM2_MAX and b > 0.0:
-                    b = _rescale(W, e, j)
                 c = float(wi @ wj)
                 if abs(c) <= JACOBI_TOL * math.sqrt(a) * math.sqrt(b):
                     continue
                 rotated = True
-                cs, sn, s_up, s_down = _rotation(a, b, c, e[j] - e[i])
+                cs, sn, s_up, s_down = _rotation(a, b, c, exps[j] - exps[i])
                 W[:, i], W[:, j] = cs * wi - s_up * wj, s_down * wi + cs * wj
                 vi = V[:, i]
                 vj = V[:, j]
                 V[:, i], V[:, j] = cs * vi - sn * vj, sn * vi + cs * vj
         if not rotated:
-            return W, np.array(e), V
+            return W, e, V
     raise ConvergenceFailure(
         f"one-sided Jacobi did not converge in {max_sweeps} sweeps"
     )

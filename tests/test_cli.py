@@ -267,6 +267,24 @@ def test_verify_normalizes_direction(tmp_path):
     assert a[1] == b[1]
 
 
+def test_verify_r2_gate_exits_4(tmp_path, monkeypatch):
+    # no fit reaches r2 > 1, so the gate refuses an otherwise clean run
+    x, e = write_benchmark(tmp_path)
+    out = tmp_path / "report.csv"
+    monkeypatch.setattr(svdpert.cli, "R2_GATE", 1.5)
+    code, stdout, err = run_cli(
+        ["verify", "--x", str(x), "--edir", str(e), "--out", str(out)]
+    )
+    assert code == 4
+    assert len(stdout.splitlines()) == 8
+    assert list(parse_kv(stdout)) == [
+        "variant", "count", "order_u", "r2_u", "order_v", "r2_v",
+        "order_sigma", "r2_sigma",
+    ]
+    assert "fit unreliable" in err
+    assert len(out.read_text().splitlines()) == 1 + 8 + 3
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=-900, max_value=900))
 @example(j=900)

@@ -105,6 +105,30 @@ def test_residuals_at_ambiguous_match_raises():
     assert exc.value.overlap < exc.value.threshold == 0.7
 
 
+def test_residuals_at_untracked_triplet_raises():
+    # at p = 2 the larger of two right-vector overlaps is at least
+    # 1/sqrt(2) > 0.7, so only p >= 3 can lose the triplet itself: here
+    # eps E_dir, with e1 reflected onto (1, 1, 1)/sqrt(3), dominates X and
+    # spreads e1 evenly over the exact right vectors
+    x = np.diag([3.0, 2.0, 1.0])
+    w = np.array([1.0, 0.0, 0.0]) - np.ones(3) / np.sqrt(3.0)
+    h = np.eye(3) - 2.0 * np.outer(w, w) / (w @ w)
+    e_dir = h @ x @ h
+    e_dir /= sp.frobenius_norm(e_dir)
+    with pytest.raises(TripletMatchAmbiguous) as exc:
+        sp.residuals_at(x, e_dir, 1e3)
+    best = np.max(np.abs(np.linalg.svd(x + 1e3 * e_dir)[2][:, 0]))
+    assert abs(exc.value.overlap - best) <= 1e-12
+    assert exc.value.overlap < exc.value.threshold
+
+
+@pytest.mark.parametrize("epsilon", [np.nan, np.inf, -1e-3])
+def test_residuals_at_rejects_bad_epsilon(epsilon):
+    x, e = make_instance(4, 3, 62)
+    with pytest.raises(ValueError, match="epsilon"):
+        sp.residuals_at(x, e, epsilon)
+
+
 # --------------------------------------------------------------- slope fits
 
 def test_fit_loglog_slope_exact_quadratic():
@@ -165,6 +189,8 @@ def test_report_validates_ladder_shape():
         make([1e-2, 5e-3, 2.5e-3, 2.0e-3])       # factor drifts
     with pytest.raises(ValueError):
         make([1e-2, 2e-2, 4e-2, 8e-2])           # increasing
+    with pytest.raises(ValueError, match="strictly positive"):
+        make([1e-2, 5e-3, 2.5e-3, 0.0])          # reaches epsilon 0
 
 
 # ------------------------------------------------------------------ ladders

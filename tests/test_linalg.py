@@ -188,6 +188,43 @@ def test_svd_tiny_trailing_columns(scale):
     assert np.all(np.abs(got - _exact_singular_values(x)) <= 1e-13 * got)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=-1000, max_value=-1))
+@example(j=-536)
+@example(j=-664)
+@example(j=-997)
+def test_svd_cancelled_column_keeps_its_singular_value(j):
+    # the first rotation cancels column 0 to ~2^j of its starting scale, so
+    # its mantissa's squared norm underflows unless it is renormalized
+    # before the next sweep reads it
+    x = np.array([[1.0, 1.0], [2.0**j, 0.0]])
+    for m in (x, x.T):
+        ref = np.linalg.svd(m, compute_uv=False)
+        assert np.all(np.abs(sp.svd(m).S - ref) <= 1e-14 * ref)
+
+
+def test_svd_cancelled_column_next_to_an_untouched_one():
+    x = np.array([[3.0, 3.0, 0.0], [1e-300, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    for m in (x, x.T):
+        ref = np.linalg.svd(m, compute_uv=False)
+        assert ref[2] > 7e-301
+        assert np.all(np.abs(sp.svd(m).S - ref) <= 1e-14 * ref)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_svd_row_graded_input_keeps_orthonormal_factors(seed):
+    # a row at 1e300 puts one huge entry in every column; the first sweep
+    # cancels the columns it rotates to ~1e-300 of their starting scale
+    x = sp.SplitMix64(seed).normal_matrix(5, 3)
+    x[-1] *= 1e300
+    for m in (x, x.T):
+        f = sp.svd(m)
+        assert sp.frobenius_norm(f.U.T @ f.U - np.eye(3)) <= 1e-13
+        assert sp.frobenius_norm(f.V.T @ f.V - np.eye(3)) <= 1e-13
+        recon = f.U @ np.diag(f.S) @ f.V.T
+        assert sp.frobenius_norm(recon - m) <= 1e-14 * sp.frobenius_norm(m)
+
+
 def test_svd_orthogonal_tiny_column_is_exact():
     f = sp.svd(np.diag([1.0, 1e-160]))
     assert np.array_equal(f.S, np.array([1.0, 1e-160]))

@@ -137,6 +137,25 @@ def test_parse_error_line_numbers(tmp_path):
         sp.read_matrix(f)
     assert exc.value.line == 4
 
+    # banner and comments, no dimensions line: the error points past the end
+    write_lines(f, ["%%MatrixMarket matrix array real general", "% a",
+                    "% b"])
+    with pytest.raises(ParseError) as exc:
+        sp.read_matrix(f)
+    assert exc.value.line == 4
+
+    write_lines(f, ["%%MatrixMarket matrix array real general", "% a",
+                    "2 x", "1", "2"])
+    with pytest.raises(ParseError) as exc:
+        sp.read_matrix(f)
+    assert exc.value.line == 3
+
+    write_lines(f, ["%%MatrixMarket matrix array real general", "2 1",
+                    "1", "2 3"])
+    with pytest.raises(ParseError) as exc:
+        sp.read_matrix(f)
+    assert exc.value.line == 4
+
     write_lines(f, ["%%MatrixMarket matrix array real general", "0 2",
                     "1"])
     with pytest.raises(ParseError):
