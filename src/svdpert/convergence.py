@@ -155,8 +155,8 @@ def _score_rung(problem, full: Svd, part, epsilon: float, variants) -> tuple:
     samples = []
     for variant in variants:
         pred = expand_triplet(part, dE, variant)
-        res_u = float(np.linalg.norm(u_exact - pred.u_tilde))
-        res_v = float(np.linalg.norm(v_exact - pred.v_tilde))
+        du, dv = u_exact - pred.u_tilde, v_exact - pred.v_tilde
+        res_u, res_v = math.sqrt(du @ du), math.sqrt(dv @ dv)
         if swapped:
             res_u, res_v = res_v, res_u
         samples.append(ResidualSample(
@@ -193,22 +193,19 @@ def residuals_at(
 
 
 def fit_loglog_slope(epsilons, residuals):
-    """Least-squares slope of log(residual) against log(epsilon).
-
-    Returns (slope, r2).  A synthetic ladder residual = epsilon^q fits
-    q exactly up to roundoff.
-    """
+    """Ordinary least-squares line of log(residual) against log(epsilon), in
+    closed form on the centred logs: returns (slope, r2) = (Sxy / Sxx,
+    Sxy^2 / (Sxx Syy)), r2 clamped to 1 against roundoff.  A flat series
+    fits (0.0, 1.0); equal epsilons raise ValueError."""
     x = np.log(np.asarray(epsilons, dtype=float))
     y = np.log(np.asarray(residuals, dtype=float))
-    slope, intercept = np.polyfit(x, y, 1)
-    fitted = slope * x + intercept
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    if ss_tot == 0.0:
-        r2 = 1.0 if ss_res == 0.0 else 0.0
-    else:
-        r2 = 1.0 - ss_res / ss_tot
-    return float(slope), float(r2)
+    if np.all(x == x[0]):
+        raise ValueError("epsilons must not all be equal")
+    if np.all(y == y[0]):
+        return 0.0, 1.0
+    x, y = x - x.mean(), y - y.mean()
+    sxx, sxy, syy = float(x @ x), float(x @ y), float(y @ y)
+    return sxy / sxx, min(1.0, sxy * sxy / (sxx * syy))
 
 
 def fit_report(
@@ -221,7 +218,7 @@ def fit_report(
     units of X and is floored at FLOOR_TOL * sigma_max, the largest
     singular value of X, so the fit does not change when X and the ladder
     are scaled together.  Fewer than 3 survivors for any metric raises
-    InsufficientSamples.
+    InsufficientSamples, naming the floor and the floored epsilons.
     """
     samples = tuple(samples)
     floors = {"res_u": FLOOR_TOL, "res_v": FLOOR_TOL,
@@ -229,17 +226,16 @@ def fit_report(
     orders = {}
     r2s = {}
     for metric, floor in floors.items():
-        pts = [
-            (s.epsilon, getattr(s, metric))
-            for s in samples
-            if getattr(s, metric) > floor
-        ]
-        if len(pts) < 3:
+        kept = [s for s in samples if getattr(s, metric) > floor]
+        if len(kept) < 3:
+            floored = ", ".join(f"{s.epsilon:g}" for s in samples
+                                if getattr(s, metric) <= floor)
             raise InsufficientSamples(
-                f"{metric}: only {len(pts)} samples above the noise floor"
+                f"{metric}: only {len(kept)} samples above the noise floor "
+                f"{floor:.3g}; at or below it at epsilon {floored}"
             )
         orders[metric], r2s[metric] = fit_loglog_slope(
-            [p[0] for p in pts], [p[1] for p in pts]
+            [s.epsilon for s in kept], [getattr(s, metric) for s in kept]
         )
     return ConvergenceReport(
         variant=variant,

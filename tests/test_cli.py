@@ -154,6 +154,15 @@ def test_expand_variant_flag(tmp_path):
     assert [float(t) for t in kv["g2"].split()] == [2.5e-4]
 
 
+def test_expand_unequal_shapes_is_usage_error(tmp_path):
+    x, e = tmp_path / "x.mtx", tmp_path / "e.mtx"
+    sp.write_matrix(x, sp.SplitMix64(3).normal_matrix(5, 3))
+    sp.write_matrix(e, sp.SplitMix64(4).normal_matrix(3, 5))
+    code, stdout, err = run_cli(["expand", "--x", str(x), "--e", str(e)])
+    assert (code, stdout) == (2, "")
+    assert "equal shapes" in err
+
+
 def test_expand_k_out_of_range(tmp_path):
     x, e = tmp_path / "x.mtx", tmp_path / "e.mtx"
     sp.write_matrix(x, np.diag([3.0, 1.0]))

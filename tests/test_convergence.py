@@ -145,6 +145,54 @@ def test_fit_loglog_slope_exact_linear_with_prefactor():
     assert r2 >= 1.0 - 1e-12
 
 
+@pytest.mark.parametrize("length", range(3, 9))
+@pytest.mark.parametrize("value", [1.0, 0.1, 3e-9, 1e-250])
+def test_fit_loglog_slope_flat_ladder(value, length):
+    # a flat series is fitted exactly by the order-0 line, whatever the
+    # constant: roundoff in its mean must not turn that into r2 = 0
+    eps = [1e-2 * 0.5**i for i in range(length)]
+    assert sp.fit_loglog_slope(eps, [value] * length) == (0.0, 1.0)
+
+
+def test_fit_loglog_slope_rejects_equal_epsilons():
+    with pytest.raises(ValueError, match="epsilons"):
+        sp.fit_loglog_slope([1e-3] * 4, [1e-6, 2e-6, 3e-6, 4e-6])
+
+
+def _mp_loglog_fit(epsilons, residuals):
+    """(slope, r2) of the least-squares line through the log-log points,
+    in 50-digit arithmetic on the same double inputs (test-only oracle)."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        x = [mpmath.log(mpmath.mpf(e)) for e in epsilons]
+        y = [mpmath.log(mpmath.mpf(r)) for r in residuals]
+        xm, ym = mpmath.fsum(x) / len(x), mpmath.fsum(y) / len(y)
+        sxx = mpmath.fsum((a - xm) ** 2 for a in x)
+        sxy = mpmath.fsum((a - xm) * (b - ym) for a, b in zip(x, y))
+        syy = mpmath.fsum((b - ym) ** 2 for b in y)
+        return float(sxy / sxx), float(sxy**2 / (sxx * syy))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=0.1, max_value=0.5),
+       st.floats(min_value=0.5, max_value=3.0),
+       st.floats(min_value=0.0, max_value=1e-6),
+       st.lists(st.floats(min_value=-1.0, max_value=1.0),
+                min_size=3, max_size=10))
+@example(factor=0.5, order=2.0, noise=0.0, wobble=[0.0] * 8)
+@example(factor=0.5, order=1.0, noise=1e-6, wobble=[1.0, -1.0, 1.0])
+def test_fit_loglog_slope_matches_multiprecision_fit(factor, order, noise,
+                                                     wobble):
+    eps = [1e-2 * factor**i for i in range(len(wobble))]
+    res = [e**order * (1.0 + noise * w) for e, w in zip(eps, wobble)]
+    slope, r2 = sp.fit_loglog_slope(eps, res)
+    ref_slope, ref_r2 = _mp_loglog_fit(eps, res)
+    assert abs(slope - ref_slope) <= 1e-13 * abs(ref_slope)
+    assert abs(r2 - ref_r2) <= 1e-13
+    assert 0.0 <= r2 <= 1.0
+
+
 def test_fit_report_filters_noise_floor():
     eps = [1e-3 * 0.5**i for i in range(8)]
     samples = [
@@ -165,7 +213,21 @@ def test_fit_report_insufficient_samples():
         sp.ResidualSample(epsilon=e, res_u=e**2, res_v=e**2, res_sigma=1e-15)
         for e in eps
     ]
-    with pytest.raises(InsufficientSamples):
+    with pytest.raises(InsufficientSamples) as exc:
+        sp.fit_report(FormulaVariant.CORRECTED, samples)
+    assert str(exc.value) == (
+        "res_sigma: only 0 samples above the noise floor 1e-13; at or below "
+        "it at epsilon 0.01, 0.005, 0.0025, 0.00125"
+    )
+    # only the rungs at or below the floor are named
+    samples = [
+        sp.ResidualSample(epsilon=e, res_u=e**2, res_v=e**5, res_sigma=e)
+        for e in eps
+    ]
+    with pytest.raises(InsufficientSamples, match=(
+        r"^res_v: only 2 samples above the noise floor 1e-13; "
+        r"at or below it at epsilon 0\.0025, 0\.00125$"
+    )):
         sp.fit_report(FormulaVariant.CORRECTED, samples)
 
 

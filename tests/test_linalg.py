@@ -168,11 +168,33 @@ def _exact_singular_values(x):
 def test_svd_graded_columns_keep_relative_accuracy(e, seed):
     # one-sided Jacobi on B D, B well conditioned and D a column grading,
     # gets every singular value to high relative accuracy (Demmel and
-    # Veselic 1992); the column Gram entries must not underflow on the way
-    n, p = [(6, 4), (5, 5), (8, 3), (9, 5)][seed % 4]
-    spectrum = tuple(3.0 * 0.7**j for j in range(p))
-    x = sp.matrix_with_spectrum(sp.SpectrumSpec(n, p, spectrum, seed))
+    # Veselic 1992); the column Gram entries must not underflow on the way.
+    # Wide inputs are graded in the caller's orientation, so the sweeps,
+    # which run on the transpose, see row grading
+    n, p = [(6, 4), (5, 5), (8, 3), (9, 5), (4, 6), (5, 9)][seed % 6]
+    r = min(n, p)
+    spectrum = tuple(3.0 * 0.7**j for j in range(r))
+    x = sp.matrix_with_spectrum(sp.SpectrumSpec(max(n, p), r, spectrum, seed))
+    if n < p:
+        x = x.T
     x[:, p // 2:] *= 10.0**e
+    got = sp.svd(x).S
+    ref = _exact_singular_values(x)
+    assert np.all(np.abs(got - ref) <= 1e-13 * ref)
+
+
+@pytest.mark.parametrize("shape, seed, columns, scale", [
+    *(((3, 5), s, slice(-1, None), 1e300) for s in (0, 1, 4)),
+    *(((7, 20), s, slice(-1, None), 1e300) for s in (0, 1, 4)),
+    *(((5, 9), s, slice(None, None, 2), 1e-200) for s in range(6)),
+])
+def test_svd_wide_graded_columns_keep_relative_accuracy(shape, seed, columns,
+                                                        scale):
+    # a 60-digit reference cannot resolve O(1) singular values next to
+    # 1e300 or 1e-200 columns and reads these outputs 19-588% off; at 340
+    # digits they agree to ulps
+    x = sp.SplitMix64(seed).normal_matrix(*shape)
+    x[:, columns] *= scale
     got = sp.svd(x).S
     ref = _exact_singular_values(x)
     assert np.all(np.abs(got - ref) <= 1e-13 * ref)
@@ -273,6 +295,9 @@ def test_qr_thin_q_against_lapack(shape):
 def test_qr_rank_deficient_raises():
     with pytest.raises(RankDeficient):
         sp.qr_orthonormal(np.array([[1.0, 2.0], [2.0, 4.0]]))
+    # a zero column gets no reflector, so its R[k, k] stays exactly zero
+    with pytest.raises(RankDeficient, match=r"min \|R_kk\| = 0\.000e\+00"):
+        sp.qr_orthonormal(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]))
     a = sp.SplitMix64(31).normal_matrix(300, 150)
     a[:, 149] = a[:, 3] - 2.0 * a[:, 70]
     with pytest.raises(RankDeficient):

@@ -220,6 +220,17 @@ def test_coefficients_satisfy_coupled_equations():
     assert np.all(np.abs(lhs2 - proj.f12) <= 1e-14)
 
 
+def test_coupled_solve_single_column_is_empty():
+    # p = 1: the coupled system has no unknowns
+    x, e = make_instance(4, 1, 7)
+    part = sp.partition_svd(sp.svd(x), 1)
+    proj = sp.compute_projections(part, 1e-3 * e)
+    g2, h2 = sp.solve_coupled_system(part, proj)
+    co = sp.variant_coefficients(part, proj, FormulaVariant.CORRECTED)
+    assert g2.shape == h2.shape == (0,)
+    assert np.array_equal(g2, co.g2) and np.array_equal(h2, co.h2)
+
+
 def test_closed_form_degenerate_denominator_guard():
     # bypass the partition gate to hit the closed form's own guard
     part = sp.SvdPartition(
@@ -346,6 +357,11 @@ def test_expand_matrix_wide_input_swaps_roles():
     assert np.array_equal(wide.u_tilde, tall.v_tilde)
     assert np.array_equal(wide.v_tilde, tall.u_tilde)
     assert wide.sigma_tilde == tall.sigma_tilde
+
+
+def test_expand_matrix_rejects_unequal_shapes():
+    with pytest.raises(DimensionMismatch, match="equal shapes"):
+        sp.expand_matrix(np.ones((4, 3)), np.ones((3, 4)))
 
 
 def test_expand_zero_perturbation_is_identity():
