@@ -151,52 +151,42 @@ def _jacobi_sweeps(X: np.ndarray, max_sweeps: int):
     )
 
 
-def _svd_tall(X: np.ndarray, max_sweeps: int):
-    """Jacobi SVD of a matrix with rows >= cols; returns (U, S, V), thin."""
-    n, p = X.shape
-    W, e, V = _jacobi_sweeps(X, max_sweeps)
+def svd(x, max_sweeps: int = JACOBI_SWEEP_LIMIT) -> Svd:
+    """Thin singular value decomposition via one-sided Jacobi.
+
+    The sweeps run on the taller orientation, on column mantissas with
+    their largest entry in [0.5, 1), each column scaled by its own power
+    of two, and S is scaled back afterwards.  Signs are fixed so that the
+    largest-magnitude entry of each right vector is nonnegative (ties break
+    to the lowest index), the paired left vector flipping with it.  Raises
+    ConvergenceFailure if the sweep budget is exhausted, which the CLI
+    reports with exit code 1.  Steep spectra can exhaust the default
+    budget: a 200x100 matrix with singular values 3 * 0.7^j may need 31-32
+    sweeps against JACOBI_SWEEP_LIMIT = 30.  Two inputs do not converge at
+    any budget, because a column left as rounding residue of the others
+    stays parallel to them: rows (columns, for wide input) graded so far
+    apart that the smallest singular value lies beyond the double range of
+    the largest, and fewer nonzero rows than columns, such as a square
+    matrix with a zero row.  ROADMAP item 2 tracks these failures.
+    """
+    X = as_matrix(x, "X")
+    wide = X.shape[0] < X.shape[1]
+    W, e, V = _jacobi_sweeps(X.T if wide else X, max_sweeps)
     mantissas = np.sqrt(np.sum(W * W, axis=0))
     norms = np.ldexp(mantissas, e)
     order = np.argsort(-norms, kind="stable")
     S = norms[order]
-    W = W[:, order]
-    mantissas = mantissas[order]
     V = V[:, order]
-    U = np.zeros((n, p))
-    for k in range(p):
-        if S[k] > 0.0:
-            U[:, k] = W[:, k] / mantissas[k]
-    return U, S, V
-
-
-def _normalize_signs(U: np.ndarray, V: np.ndarray) -> None:
-    """Fix signs in place: the largest-magnitude entry of each right vector
-    is made nonnegative (ties break to the lowest index) and the paired left
-    vector flips with it."""
-    for k in range(V.shape[1]):
-        idx = int(np.argmax(np.abs(V[:, k])))
-        if V[idx, k] < 0.0:
-            V[:, k] = -V[:, k]
-            U[:, k] = -U[:, k]
-
-
-def svd(x, max_sweeps: int = JACOBI_SWEEP_LIMIT) -> Svd:
-    """Thin singular value decomposition via one-sided Jacobi.
-
-    The sweeps run on column mantissas with their largest entry in
-    [0.5, 1), each column scaled by its own power of two, and S is scaled
-    back afterwards.  Raises ConvergenceFailure if the sweep budget is
-    exhausted, which the CLI reports with exit code 1.  Steep spectra can
-    exhaust the default budget: a 200x100 matrix with singular values
-    3 * 0.7^j may need 31-32 sweeps against JACOBI_SWEEP_LIMIT = 30
-    (ROADMAP item 2 tracks the fix).
-    """
-    X = as_matrix(x, "X")
-    if X.shape[0] >= X.shape[1]:
-        U, S, V = _svd_tall(X, max_sweeps)
-    else:
-        V, S, U = _svd_tall(X.T, max_sweeps)
-    _normalize_signs(U, V)
+    # C order whatever W's layout: the factors' layout sets the summation
+    # order of later BLAS products, and so their bits
+    U = np.zeros(W.shape)
+    np.divide(W[:, order], mantissas[order], out=U, where=S > 0.0)
+    if wide:
+        U, V = V, U
+    peaks = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
+    signs = np.where(peaks < 0.0, -1.0, 1.0)
+    U *= signs
+    V *= signs
     return Svd(U=U, S=S, V=V)
 
 

@@ -265,17 +265,6 @@ def test_verify_defective_variant_first_order(tmp_path):
     assert 0.9 <= float(kv["order_v"]) <= 1.1
 
 
-def test_verify_normalizes_direction(tmp_path):
-    x, e = write_benchmark(tmp_path)
-    scaled = tmp_path / "e10.mtx"
-    sp.write_matrix(scaled, 10.0 * sp.read_matrix(e))
-    a = run_cli(["verify", "--x", str(x), "--edir", str(e)])
-    b = run_cli(["verify", "--x", str(x), "--edir", str(scaled)])
-    assert a[0] == b[0] == 0
-    # scaling the direction changes nothing after normalization
-    assert a[1] == b[1]
-
-
 def test_verify_r2_gate_exits_4(tmp_path, monkeypatch):
     # no fit reaches r2 > 1, so the gate refuses an otherwise clean run
     x, e = write_benchmark(tmp_path)
@@ -314,7 +303,10 @@ def test_verify_direction_power_of_two_scaling_is_bitwise(tmp_path_factory, j):
     assert runs[1] == runs[0]
 
 
-@pytest.mark.parametrize("scale", [1e170, 1e-170])
+# A factor that is not a power of two moves the normalized direction by
+# an ulp, so the orders agree closely but not bitwise; power-of-two scaling
+# is pinned bitwise above.
+@pytest.mark.parametrize("scale", [1e170, 10.0, 1e-170])
 def test_verify_far_scaled_direction_is_normalized(tmp_path, scale):
     x, e = write_benchmark(tmp_path)
     scaled = tmp_path / "scaled.mtx"

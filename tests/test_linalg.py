@@ -38,6 +38,15 @@ def test_svd_zero_matrix():
     # left columns of exactly zero singular values stay zero
     assert np.array_equal(f.U, np.zeros((3, 2)))
     assert np.array_equal(f.V, np.eye(2))
+    # wide input: the right columns stay zero instead
+    f = sp.svd(np.zeros((2, 3)))
+    assert np.array_equal(f.S, np.zeros(2))
+    assert np.array_equal(f.U, np.eye(2))
+    assert np.array_equal(f.V, np.zeros((3, 2)))
+    f = sp.svd(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+    assert np.array_equal(f.S, [1.0, 0.0])
+    assert np.array_equal(f.U, np.eye(2))
+    assert np.array_equal(f.V, [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
 
 
 def test_svd_reconstruction_and_orthogonality_tall():
@@ -69,10 +78,11 @@ def test_svd_transpose_has_same_singular_values():
 
 def test_svd_sign_convention_largest_entry_nonnegative():
     x = sp.SplitMix64(19).normal_matrix(6, 4)
-    f = sp.svd(x)
-    for k in range(4):
-        v = f.V[:, k]
-        assert v[np.argmax(np.abs(v))] >= 0
+    for a in (x, x.T):
+        f = sp.svd(a)
+        for k in range(4):
+            v = f.V[:, k]
+            assert v[np.argmax(np.abs(v))] >= 0
 
 
 def test_svd_sign_tie_resolved_toward_lowest_index():
@@ -151,13 +161,13 @@ def test_svd_power_of_two_scaling_is_bitwise(k, seed):
         assert np.array_equal(scaled.V, base.V)
 
 
-def _exact_singular_values(x):
-    """Singular values from a 340-digit SVD (test-only oracle): enough
-    digits to resolve a 1e-300 column next to an O(1) one, where LAPACK's
-    drivers are only accurate relative to the largest value."""
+def _exact_singular_values(x, dps=340):
+    """Singular values from a dps-digit SVD (test-only oracle): 340 digits
+    resolve a 1e-300 column next to an O(1) one, where LAPACK's drivers are
+    only accurate relative to the largest value."""
     import mpmath
 
-    with mpmath.workdps(340):
+    with mpmath.workdps(dps):
         s = mpmath.svd_r(mpmath.matrix(x.tolist()), compute_uv=False)
         return np.array(sorted((float(v) for v in s), reverse=True))
 
@@ -245,6 +255,28 @@ def test_svd_row_graded_input_keeps_orthonormal_factors(seed):
         assert sp.frobenius_norm(f.V.T @ f.V - np.eye(3)) <= 1e-13
         recon = f.U @ np.diag(f.S) @ f.V.T
         assert sp.frobenius_norm(recon - m) <= 1e-14 * sp.frobenius_norm(m)
+
+
+@pytest.mark.xfail(raises=ConvergenceFailure, reason=(
+    "a row left as rounding residue of a far larger one stays parallel to "
+    "it; QR preconditioning with pivoting (ROADMAP item 2) is the likely fix"))
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("seed", [5, 8])
+def test_svd_row_graded_beyond_double_range(seed, transpose):
+    # the 3x5 has columns scaled by 2^-997 .. 2^997 and is swept as its
+    # transpose, so the sweeps see row grading in both orientations; the
+    # smallest singular value (~5e-101) lies more than the double range
+    # below the largest (~3e300).  At 340 digits the reference reads
+    # sigma_3 of seed 5 as 2.2e-100 against 5.0e-101.
+    x = np.ldexp(sp.SplitMix64(seed).normal_matrix(3, 5),
+                 [-332, 997, -664, -997, 332])
+    if transpose:
+        x = x.T
+    f = sp.svd(x)
+    ref = _exact_singular_values(x, dps=800)
+    assert np.all(np.abs(f.S - ref) <= 1e-13 * ref[0])
+    assert sp.frobenius_norm(f.U.T @ f.U - np.eye(3)) <= 1e-13
+    assert sp.frobenius_norm(f.V.T @ f.V - np.eye(3)) <= 1e-13
 
 
 def test_svd_orthogonal_tiny_column_is_exact():
