@@ -74,7 +74,9 @@ def read_matrix(path) -> np.ndarray:
     if pos >= len(lines):
         raise ParseError(len(lines) + 1, "missing dimensions line")
     dims = lines[pos].split()
-    if len(dims) != 2:
+    # int() and float() also read Python's digit separators, as in 1_5;
+    # MatrixMarket has none
+    if len(dims) != 2 or "_" in lines[pos]:
         raise ParseError(pos + 1, "dimensions line must hold two integers")
     try:
         rows, cols = int(dims[0]), int(dims[1])
@@ -96,6 +98,8 @@ def read_matrix(path) -> np.ndarray:
         if not text or len(text.split()) != 1:
             raise ParseError(lineno, "expected exactly one matrix entry")
         try:
+            if "_" in text:
+                raise ValueError(text)
             v = float(text)
         except ValueError:
             raise ParseError(lineno, f"not a real number: {text!r}")

@@ -20,6 +20,7 @@ from helpers import parse_kv, run_cli
 import svdpert as sp
 import svdpert.cli
 import svdpert.convergence
+import svdpert.mmio
 import svdpert.perturbation
 from svdpert import FormulaVariant
 
@@ -82,11 +83,12 @@ def test_gen_rejects_invalid_spectrum(tmp_path):
 
 
 def test_gen_rejects_bad_seed(tmp_path):
-    code, _, _ = run_cli(
+    code, _, err = run_cli(
         ["gen", "--n", "3", "--p", "2", "--sv", "3,1", "--seed", "-1",
          "--out", str(tmp_path / "m.mtx")]
     )
     assert code == 2
+    assert err == "error: seed must be an integer in [0, 2^64), got -1\n"
 
 
 def test_gen_unwritable_path_is_io_error(tmp_path):
@@ -213,6 +215,13 @@ def test_expand_far_scaled_input_is_scaled_output(tmp_path):
         ["expand", "--x", str(big_x), "--e", str(big_e)])
     assert code == 0, err
     base, big = parse_kv(stdout), parse_kv(big_stdout)
+    # the two norms are frobenius_norm's; on this input a norm summed by
+    # BLAS's ddot differs from it in the last bit
+    exp = sp.expand_matrix(sp.read_matrix(x), sp.read_matrix(e), 1,
+                           FormulaVariant.CORRECTED)
+    for key, v in (("f31_norm", exp.projections.f31),
+                   ("g3_norm", exp.coefficients.g3)):
+        assert base[key] == svdpert.mmio._fmt(sp.frobenius_norm(v[None])), key
     for key, scale in (("sigma1", 1e160), ("f31_norm", 1e160),
                        ("g3_norm", 1.0), ("g2", 1.0), ("u_tilde", 1.0)):
         want = [scale * float(t) for t in base[key].split()]
@@ -429,6 +438,13 @@ def test_errata_unconfirmed_defect_exits_5(monkeypatch):
     assert lines[6].startswith("6,u_tilde,corrected form,order_u,")
     assert lines[6].endswith(",0,not confirmed")
     assert "not all defects could be confirmed" in err
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_errata_rejects_out_of_range_seed(seed):
+    code, stdout, err = run_cli(["errata", "--seed", str(seed)])
+    assert (code, stdout) == (2, "")
+    assert err == f"error: seed must be an integer in [0, 2^64), got {seed}\n"
 
 
 def test_errata_rejects_bad_dims():

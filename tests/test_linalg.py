@@ -279,6 +279,39 @@ def test_svd_row_graded_beyond_double_range(seed, transpose):
     assert sp.frobenius_norm(f.V.T @ f.V - np.eye(3)) <= 1e-13
 
 
+@pytest.mark.xfail(raises=ConvergenceFailure, reason=(
+    "with fewer nonzero rows than columns a column left as rounding residue "
+    "of the others stays parallel to them; ROADMAP item 2"))
+@pytest.mark.parametrize("shape, zero_rows", [
+    ((3, 3), [0]), ((4, 4), [0]), ((6, 6), [0]), ((10, 10), [0]),
+    ((5, 3), [0, 1, 2]), ((6, 4), [0, 1, 2]),
+])
+def test_svd_fewer_nonzero_rows_than_columns(shape, zero_rows):
+    # seeds loop inside one case: 3x3 seed 2 converges today
+    for seed in range(5):
+        x = sp.SplitMix64(seed).normal_matrix(*shape)
+        x[zero_rows] = 0.0
+        f = sp.svd(x)
+        ref = np.linalg.svd(x, compute_uv=False)
+        assert np.all(np.abs(f.S - ref) <= 1e-13 * ref[0])
+        # the Svd contract leaves U's columns of exactly zero values zero
+        u = f.U[:, f.S > 0.0]
+        assert sp.frobenius_norm(u.T @ u - np.eye(u.shape[1])) <= 1e-13
+        assert sp.frobenius_norm(f.V.T @ f.V - np.eye(shape[1])) <= 1e-13
+
+
+@pytest.mark.xfail(raises=ConvergenceFailure, reason=(
+    "a steep spectrum needs 18-19 row-cyclic sweeps at 100x50; "
+    "preconditioning by QR (ROADMAP item 2) should need far fewer"))
+def test_svd_steep_spectrum_converges_within_twelve_sweeps():
+    spec = sp.SpectrumSpec(n=100, p=50, seed=0, singular_values=tuple(
+        3.0 * 0.7**j for j in range(50)))
+    x = sp.matrix_with_spectrum(spec)
+    f = sp.svd(x, max_sweeps=12)
+    ref = np.linalg.svd(x, compute_uv=False)
+    assert np.all(np.abs(f.S - ref) <= 1e-13 * ref[0])
+
+
 def test_svd_orthogonal_tiny_column_is_exact():
     f = sp.svd(np.diag([1.0, 1e-160]))
     assert np.array_equal(f.S, np.array([1.0, 1e-160]))

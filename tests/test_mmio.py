@@ -125,6 +125,21 @@ def test_parse_error_line_numbers(tmp_path):
         sp.read_matrix(f)
     assert exc.value.line == 4
 
+    # Python's float() and int() read 1_5 as 15; MatrixMarket has no digit
+    # separators
+    write_lines(f, ["%%MatrixMarket matrix array real general", "1 1",
+                    "1_5"])
+    with pytest.raises(ParseError) as exc:
+        sp.read_matrix(f)
+    assert (exc.value.line, exc.value.reason) == (3, "not a real number: '1_5'")
+
+    write_lines(f, ["%%MatrixMarket matrix array real general", "1_0 1",
+                    *["1"] * 10])
+    with pytest.raises(ParseError) as exc:
+        sp.read_matrix(f)
+    assert (exc.value.line, exc.value.reason) == (
+        2, "dimensions line must hold two integers")
+
     write_lines(f, ["%%MatrixMarket matrix array real general", "1 1",
                     "nan"])
     with pytest.raises(ParseError) as exc:
