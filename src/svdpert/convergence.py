@@ -1,23 +1,25 @@
 """Empirical convergence-order certification.
 
-A first-order prediction is checked against the exact decomposition of the
+A first-order prediction is checked against the exact triplet of the
 perturbed matrix on a geometric ladder of perturbation sizes.  Residuals of
 the corrected expansion shrink like epsilon^2; a variant carrying a
 first-order defect only manages epsilon^1, and the fitted log-log slopes
 separate the two cleanly.
 
 Residuals are measured in the expansion's own affine chart: the exact
-perturbed vector (unit norm, from the full decomposition) is rescaled so
-that its coefficient along the unperturbed vector equals 1, matching the
-prediction's parametrization, and the Euclidean difference is taken.  The
-rescale also makes the comparison sign-proof.  Exact triplets are tracked
-across the perturbation by the largest right-vector overlap; an overlap
-below MATCH_TOL means the perturbation is too large to track and raises
-TripletMatchAmbiguous.
+perturbed vector (unit norm) is rescaled so that its coefficient along the
+unperturbed vector equals 1, matching the prediction's parametrization,
+and the Euclidean difference is taken.  The rescale also makes the
+comparison sign-proof.
 
-A ladder decomposes the unperturbed matrix once and each rung's perturbed
-matrix once, warm-started from the unperturbed right vectors, and scores
-every requested variant against that one exact decomposition.
+A ladder decomposes the unperturbed matrix X once.  Each rung then solves
+for the one exact perturbed triplet it needs: one-sided Jacobi on
+(X + epsilon E) V0, V0 the right singular vectors of X, rotating only the
+pairs that contain the tracked column k, until that column is orthogonal
+to all others.  Every requested variant is scored against that triplet.
+The triplet is tracked by its right-vector overlap V1[k, k] with the
+unperturbed one; an overlap, right or left, below MATCH_TOL means the
+perturbation is too large to track and raises TripletMatchAmbiguous.
 """
 
 import math
@@ -31,7 +33,13 @@ from .errors import (
     TripletMatchAmbiguous,
     ZeroVector,
 )
-from .linalg import Svd, frobenius_norm, svd
+from .linalg import (
+    JACOBI_SWEEP_LIMIT,
+    Svd,
+    _jacobi_sweeps,
+    frobenius_norm,
+    svd,
+)
 from .perturbation import (
     FormulaVariant,
     expand_triplet,
@@ -111,12 +119,13 @@ def align_sign(reference, candidate) -> np.ndarray:
     return cand if float(ref @ cand) >= 0.0 else -cand
 
 
-def _gauge(exact: np.ndarray, reference: np.ndarray) -> np.ndarray:
+def _gauge(exact: np.ndarray, reference: np.ndarray,
+           epsilon: float) -> np.ndarray:
     """Rescale the exact unit vector into the chart where its coefficient
     along the reference vector is 1."""
     c = float(exact @ reference)
     if abs(c) < MATCH_TOL:
-        raise TripletMatchAmbiguous(abs(c), MATCH_TOL)
+        raise TripletMatchAmbiguous(abs(c), MATCH_TOL, epsilon)
     return exact / c
 
 
@@ -128,30 +137,37 @@ def _check_unit(Eo: np.ndarray) -> None:
 
 def _score_rung(problem, full: Svd, part, epsilon: float, variants) -> tuple:
     """Residuals of each variant's prediction at one perturbation size, all
-    scored against one exact decomposition; one ResidualSample per variant.
+    scored against one exact triplet; one ResidualSample per variant.
 
     problem is tall_problem's (Xo, Eo, swapped), full the decomposition of
-    Xo and part its partition.  The exact decomposition of
-    Xo + epsilon * Eo is warm-started: Jacobi runs on
-    (Xo + epsilon * Eo) V0 with V0 = full.V, whose columns are already
-    nearly orthogonal, and V = V0 V1.  At epsilon = 0 it is full itself.
-    The k-th triplet is tracked by the largest right-vector overlap with
-    the unperturbed one and the exact vectors are rescaled into the
+    Xo and part its partition around k.  The exact triplet of
+    Xo + epsilon * Eo comes from Jacobi on (Xo + epsilon * Eo) V0 with
+    V0 = full.V, rotating only the pairs that contain column k - 1 until it
+    is orthogonal to the rest; then v = V0 V1[:, k - 1] is an exact right
+    singular vector, and sigma and u are the column's norm and direction.
+    At epsilon = 0 the triplet is full's own k-th.  The triplet is tracked
+    when its overlap V1[k - 1, k - 1] with the unperturbed right vector
+    reaches MATCH_TOL, and the exact vectors are rescaled into the
     prediction's affine chart.
     """
     Xo, Eo, swapped = problem
     dE = epsilon * Eo
+    j = part.k - 1
     if epsilon == 0.0:
-        exact = full
+        sigma, u, v, overlap = float(full.S[j]), full.U[:, j], part.v1, 1.0
     else:
-        warm = svd((Xo + dE) @ full.V)
-        exact = Svd(U=warm.U, S=warm.S, V=full.V @ warm.V)
-    overlaps = exact.V.T @ part.v1
-    j = int(np.argmax(np.abs(overlaps)))
-    if abs(float(overlaps[j])) < MATCH_TOL:
-        raise TripletMatchAmbiguous(abs(float(overlaps[j])), MATCH_TOL)
-    u_exact = _gauge(exact.U[:, j], part.u1)
-    v_exact = exact.V[:, j] / float(overlaps[j])
+        W, e, V1 = _jacobi_sweeps((Xo + dE) @ full.V, JACOBI_SWEEP_LIMIT,
+                                  pivot=j)
+        w = W[:, j]
+        norm = math.sqrt(float(w @ w))
+        sigma = math.ldexp(norm, int(e[j]))
+        # a zero column has no direction, and _gauge refuses it
+        u = w / norm if norm else w
+        v, overlap = full.V @ V1[:, j], float(V1[j, j])
+    if abs(overlap) < MATCH_TOL:
+        raise TripletMatchAmbiguous(abs(overlap), MATCH_TOL, epsilon)
+    u_exact = _gauge(u, part.u1, epsilon)
+    v_exact = v / overlap
     samples = []
     for variant in variants:
         pred = expand_triplet(part, dE, variant)
@@ -163,7 +179,7 @@ def _score_rung(problem, full: Svd, part, epsilon: float, variants) -> tuple:
             epsilon=float(epsilon),
             res_u=res_u,
             res_v=res_v,
-            res_sigma=abs(float(exact.S[j]) - pred.sigma_tilde),
+            res_sigma=abs(sigma - pred.sigma_tilde),
         ))
     return tuple(samples)
 
@@ -177,11 +193,10 @@ def residuals_at(
 ) -> ResidualSample:
     """Residuals of the variant's prediction at one perturbation size.
 
-    Computes the exact decomposition of X + epsilon * E_dir, tracks the
-    k-th triplet by the largest right-vector overlap with the unperturbed
-    one, rescales the exact vectors into the prediction's affine chart,
-    and returns the Euclidean residuals plus |sigma_exact - sigma~|.
-    E_dir must have unit Frobenius norm.
+    Decomposes X, solves for the exact k-th triplet of X + epsilon * E_dir
+    as one ladder rung does (see _score_rung), rescales its vectors into
+    the prediction's affine chart, and returns the Euclidean residuals
+    plus |sigma_exact - sigma~|.  E_dir must have unit Frobenius norm.
     """
     if not (math.isfinite(epsilon) and epsilon >= 0.0):
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
@@ -262,12 +277,13 @@ def convergence_ladders(
     for several variants at once; returns one ConvergenceReport per
     variant, in the order given.
 
-    The decomposition of X is computed once, and each rung makes one exact
-    decomposition that every variant is scored against, so a ladder costs
-    count + 1 SVDs however many variants it serves.  Requires count >= 4,
-    0 < factor < 1, and eps0 < 0.1 * (spectral gap at the selected
-    triplet) so that tracking stays unambiguous.  Sampling is strictly
-    sequential, so identical inputs give bitwise-identical reports.
+    The decomposition of X is computed once, and each rung solves for the
+    one exact triplet that every variant is scored against, by Jacobi
+    rotations of the tracked column alone, so a ladder costs one SVD and
+    count targeted solves however many variants it serves.  Requires
+    count >= 4, 0 < factor < 1, and eps0 < 0.1 * (spectral gap at the
+    selected triplet) so that tracking stays unambiguous.  Sampling is
+    strictly sequential, so identical inputs give bitwise-identical reports.
     """
     variants = tuple(variants)
     if not variants:

@@ -50,13 +50,15 @@ class TripletMatchAmbiguous(RuntimeError):
     """The perturbed triplet cannot be tracked back to the reference
     triplet with confidence."""
 
-    def __init__(self, overlap: float, threshold: float):
+    def __init__(self, overlap: float, threshold: float, epsilon: float):
         super().__init__(
-            f"best right-vector overlap {overlap:.3f} is below the matching "
+            f"at epsilon {epsilon:g} the tracked triplet's overlap "
+            f"{overlap:.3f} with the unperturbed one is below the matching "
             f"threshold {threshold}"
         )
         self.overlap = overlap
         self.threshold = threshold
+        self.epsilon = epsilon
 
 
 class InsufficientSamples(RuntimeError):

@@ -9,12 +9,15 @@ rotated pairwise until all mutual Gram entries vanish relative to the column
 norms.  It is run on the taller orientation (the input is transposed
 internally when rows < cols), so ``X = U @ np.diag(S) @ V.T`` with U n x r,
 V p x r and ``r = min(n, p)``.  No complement of the left basis is built:
-callers that need it use the projector ``I - U U^T`` instead.  Each
-column is carried as a mantissa times its own power of two, renormalized
-every sweep, so a column far below the largest one, or cancelled far below
-its starting scale, keeps full relative accuracy.  The scaling is exact for
-entries that neither are nor become subnormal, so it changes no bit of U or
-V against unscaled sweeps and keeps them clear of overflow and underflow.
+callers that need it use the projector ``I - U U^T`` instead.  The same
+sweep kernel, restricted to the pairs that contain one pivot column, yields
+a single exact singular triplet, which is all a convergence-ladder rung
+reads.  Each column is carried as a mantissa times its own power of two,
+renormalized every sweep, so a column far below the largest one, or
+cancelled far below its starting scale, keeps full relative accuracy.  The
+scaling is exact for entries that neither are nor become subnormal, so it
+changes no bit of U or V against unscaled sweeps and keeps them clear of
+overflow and underflow.
 """
 
 import math
@@ -105,8 +108,8 @@ def _rotation(a: float, b: float, c: float, d: int):
     return cs, cs * t, math.ldexp(s_down, 2 * d), s_down
 
 
-def _jacobi_sweeps(X: np.ndarray, max_sweeps: int):
-    """Rotate column pairs of X until mutually orthogonal.
+def _jacobi_sweeps(X: np.ndarray, max_sweeps: int, pivot=None):
+    """Rotate column pairs of X until they are orthogonal.
 
     Returns (W, e, V) with X @ V = W * 2^e (column k of W times 2^e[k]) and
     V orthogonal.  Each column is carried as a mantissa W[:, k] and its own
@@ -116,10 +119,20 @@ def _jacobi_sweeps(X: np.ndarray, max_sweeps: int):
     the previous sweep, neither underflow nor lose digits.  Power-of-two
     scaling is exact and the rotation angles depend only on the true
     columns, so wherever unscaled sweeps would stay clear of overflow and
-    underflow the rotations are bitwise theirs.  Sweep order is fixed
-    (row-cyclic over pairs i < j), so the result is deterministic.
+    underflow the rotations are bitwise theirs.
+
+    The pair schedule is fixed, so the result is deterministic.  With
+    pivot None a sweep visits every pair i < j row-cyclically and ends
+    with all columns mutually orthogonal.  With pivot k it visits only the
+    pairs that contain k, p - 1 rotations in the same order, and ends with
+    column k orthogonal to every other column: row k of (X V)^T (X V) is
+    then zero off the diagonal, so V[:, k] is an exact right singular
+    vector of X with singular value 2^e[k] |W[:, k]| and left vector
+    W[:, k] / |W[:, k]| (Demmel and Veselic 1992).
     """
     p = X.shape[1]
+    pairs = [(i, j) for i in range(p - 1) for j in range(i + 1, p)
+             if pivot is None or pivot in (i, j)]
     W = X
     e = np.zeros(p, dtype=int)
     V = np.eye(p)
@@ -129,21 +142,20 @@ def _jacobi_sweeps(X: np.ndarray, max_sweeps: int):
         e += exponents
         exps = e.tolist()
         rotated = False
-        for i in range(p - 1):
-            for j in range(i + 1, p):
-                wi = W[:, i]
-                wj = W[:, j]
-                a = float(wi @ wi)
-                b = float(wj @ wj)
-                c = float(wi @ wj)
-                if abs(c) <= JACOBI_TOL * math.sqrt(a) * math.sqrt(b):
-                    continue
-                rotated = True
-                cs, sn, s_up, s_down = _rotation(a, b, c, exps[j] - exps[i])
-                W[:, i], W[:, j] = cs * wi - s_up * wj, s_down * wi + cs * wj
-                vi = V[:, i]
-                vj = V[:, j]
-                V[:, i], V[:, j] = cs * vi - sn * vj, sn * vi + cs * vj
+        for i, j in pairs:
+            wi = W[:, i]
+            wj = W[:, j]
+            a = float(wi @ wi)
+            b = float(wj @ wj)
+            c = float(wi @ wj)
+            if abs(c) <= JACOBI_TOL * math.sqrt(a) * math.sqrt(b):
+                continue
+            rotated = True
+            cs, sn, s_up, s_down = _rotation(a, b, c, exps[j] - exps[i])
+            W[:, i], W[:, j] = cs * wi - s_up * wj, s_down * wi + cs * wj
+            vi = V[:, i]
+            vj = V[:, j]
+            V[:, i], V[:, j] = cs * vi - sn * vj, sn * vi + cs * vj
         if not rotated:
             return W, e, V
     raise ConvergenceFailure(

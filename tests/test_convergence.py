@@ -103,6 +103,7 @@ def test_residuals_at_ambiguous_match_raises():
     with pytest.raises(TripletMatchAmbiguous) as exc:
         sp.residuals_at(x, e_dir, 10.0)
     assert exc.value.overlap < exc.value.threshold == 0.7
+    assert exc.value.epsilon == 10.0
 
 
 def test_residuals_at_untracked_triplet_raises():
@@ -120,6 +121,18 @@ def test_residuals_at_untracked_triplet_raises():
     best = np.max(np.abs(np.linalg.svd(x + 1e3 * e_dir)[2][:, 0]))
     assert abs(exc.value.overlap - best) <= 1e-12
     assert exc.value.overlap < exc.value.threshold
+    assert exc.value.epsilon == 1e3
+
+
+def test_residuals_at_annihilated_triplet_raises():
+    # eps E_dir = -X exactly: the perturbed matrix is 0, so the tracked
+    # column has no direction to compare against u1
+    x = np.diag([2.0, 1.0])
+    norm = sp.frobenius_norm(x)
+    with pytest.raises(TripletMatchAmbiguous) as exc:
+        sp.residuals_at(x, -x / norm, norm)
+    assert exc.value.overlap == 0.0
+    assert exc.value.epsilon == norm
 
 
 @pytest.mark.parametrize("epsilon", [np.nan, np.inf, -1e-3])
@@ -323,15 +336,23 @@ def ladder_instance(n, p, k, transpose):
 
 
 @pytest.fixture
-def svd_calls(monkeypatch):
+def solves(monkeypatch):
+    # "svd" for each decomposition the ladder makes, and the pivot for each
+    # targeted Jacobi solve of a rung, in call order
     calls = []
-    real = svdpert.convergence.svd
+    real_svd = svdpert.convergence.svd
+    real_sweeps = svdpert.convergence._jacobi_sweeps
 
-    def counted(x, *args, **kwargs):
-        calls.append(np.shape(x))
-        return real(x, *args, **kwargs)
+    def counted_svd(x, *args, **kwargs):
+        calls.append("svd")
+        return real_svd(x, *args, **kwargs)
 
-    monkeypatch.setattr(svdpert.convergence, "svd", counted)
+    def counted_sweeps(x, max_sweeps, pivot=None):
+        calls.append(pivot)
+        return real_sweeps(x, max_sweeps, pivot)
+
+    monkeypatch.setattr(svdpert.convergence, "svd", counted_svd)
+    monkeypatch.setattr(svdpert.convergence, "_jacobi_sweeps", counted_sweeps)
     return calls
 
 
@@ -341,17 +362,19 @@ def svd_calls(monkeypatch):
     (FormulaVariant.CORRECTED, FormulaVariant.SIGN_FLIPPED,
      FormulaVariant.U3_OMITTED),
 ])
-def test_ladder_makes_one_decomposition_per_rung(svd_calls, variants):
+def test_ladder_makes_one_decomposition_per_rung(solves, variants):
+    # one SVD of X, then one solve per rung for the tracked column alone,
+    # however many variants share the ladder
     x, e = make_instance(6, 4, 70)
-    reports = sp.convergence_ladders(x, e, variants, count=6)
+    reports = sp.convergence_ladders(x, e, variants, k=2, count=6)
     assert [r.variant for r in reports] == list(variants)
-    assert len(svd_calls) == 6 + 1
+    assert solves == ["svd"] + [1] * 6
 
 
-def test_errata_makes_one_decomposition_per_rung(svd_calls):
+def test_errata_makes_one_decomposition_per_rung(solves):
     code, _, _ = run_cli(["errata"])
     assert code == 0
-    assert len(svd_calls) == 8 + 1
+    assert solves == ["svd"] + [0] * 8
 
 
 @pytest.mark.parametrize("n, p, k, transpose", LADDER_CASES)

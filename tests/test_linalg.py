@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import svdpert as sp
 from svdpert.errors import ConvergenceFailure, DimensionMismatch, RankDeficient
+from svdpert.linalg import JACOBI_SWEEP_LIMIT, _jacobi_sweeps
 
 
 # --------------------------------------------------------------------- svd
@@ -317,6 +318,48 @@ def test_svd_orthogonal_tiny_column_is_exact():
     assert np.array_equal(f.S, np.array([1.0, 1e-160]))
     assert np.array_equal(f.U, np.eye(2))
     assert np.array_equal(f.V, np.eye(2))
+
+
+# ------------------------------------------------- one-column Jacobi solve
+
+def warm_pivot_solve(n, p, k, seed):
+    """Pivot-k sweeps on Y V0, V0 the right vectors of Y0 and Y a small
+    perturbation of Y0; returns Y, the sweeps' (W, e, V) and V0."""
+    spec = sp.SpectrumSpec(n=n, p=p, seed=seed, singular_values=tuple(
+        3.0 * 0.6**j for j in range(p)))
+    y0 = sp.matrix_with_spectrum(spec)
+    y = y0 + 1e-3 * sp.SplitMix64(seed + 1).normal_matrix(n, p)
+    v0 = sp.svd(y0).V
+    return y, _jacobi_sweeps(y @ v0, JACOBI_SWEEP_LIMIT, pivot=k - 1), v0
+
+
+@pytest.mark.parametrize("n, p, k", [
+    (9, 5, 1), (9, 5, 3), (9, 5, 5), (5, 5, 1), (5, 5, 5), (6, 1, 1),
+])
+def test_pivot_sweeps_give_the_exact_triplet(n, p, k):
+    # column k - 1 orthogonal to the rest makes V0 V[:, k - 1] an exact
+    # right singular vector; LAPACK is a test-only oracle
+    y, (W, e, V), v0 = warm_pivot_solve(n, p, k, 40 + n + p + k)
+    U, S, Vt = np.linalg.svd(y, full_matrices=False)
+    w = W[:, k - 1]
+    norm = math.sqrt(float(w @ w))
+    v = v0 @ V[:, k - 1]
+    sign = math.copysign(1.0, float(v @ Vt[k - 1]))
+    assert np.linalg.norm(v - sign * Vt[k - 1]) <= 1e-13
+    assert np.linalg.norm(w / norm - sign * U[:, k - 1]) <= 1e-13
+    assert abs(math.ldexp(norm, int(e[k - 1])) - S[k - 1]) <= 1e-13 * S[0]
+
+
+def test_pivot_sweeps_deterministic_bitwise():
+    y, first, v0 = warm_pivot_solve(9, 5, 2, 31)
+    second = _jacobi_sweeps(y @ v0, JACOBI_SWEEP_LIMIT, pivot=1)
+    for a, b in zip(first, second):
+        assert np.array_equal(a, b)
+
+
+def test_pivot_sweep_limit_raises():
+    with pytest.raises(ConvergenceFailure):
+        _jacobi_sweeps(np.ones((3, 3)), 1, pivot=0)
 
 
 # ---------------------------------------------------------------------- qr
