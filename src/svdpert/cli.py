@@ -33,7 +33,8 @@ from .errors import (
 )
 from .linalg import frobenius_norm
 from .mmio import _fmt, read_matrix, write_matrix, write_report_csv
-from .perturbation import CATALOG, FormulaVariant, expand_matrix
+from .perturbation import (CATALOG, FormulaVariant, expand_matrix,
+                           shape_audit_as_printed)
 from .randmat import SpectrumSpec, matrix_with_spectrum, perturbation_direction
 
 R2_GATE = 0.98
@@ -77,12 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     expand.set_defaults(run=_cmd_expand)
     expand.add_argument("--x", required=True, help="matrix file")
     expand.add_argument("--e", required=True, help="perturbation file")
-    expand.add_argument("--k", type=int, default=1, help="triplet index, 1-based")
-    expand.add_argument(
-        "--variant",
-        choices=[v.value for v in FormulaVariant],
-        default=FormulaVariant.CORRECTED.value,
-    )
 
     verify = sub.add_parser(
         "verify", help="fit residual convergence orders on an epsilon ladder"
@@ -94,15 +89,17 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="direction file (normalized internally to unit Frobenius norm)",
     )
-    verify.add_argument("--k", type=int, default=1)
-    verify.add_argument(
-        "--variant",
-        choices=[v.value for v in FormulaVariant],
-        default=FormulaVariant.CORRECTED.value,
-    )
-    verify.add_argument("--eps0", type=float, default=1e-2)
-    verify.add_argument("--factor", type=float, default=0.5)
-    verify.add_argument("--count", type=int, default=8)
+    for cmd in (expand, verify):
+        cmd.add_argument("--k", type=int, default=1, help="triplet index, 1-based")
+        cmd.add_argument(
+            "--variant",
+            choices=[v.value for v in FormulaVariant],
+            default=FormulaVariant.CORRECTED.value,
+        )
+    # an omitted ladder flag is left out of the call, so the default is the
+    # library's
+    for flag, kind in (("--eps0", float), ("--factor", float), ("--count", int)):
+        verify.add_argument(flag, type=kind, default=argparse.SUPPRESS)
     verify.add_argument("--out", default=None, help="optional CSV report path")
 
     errata = sub.add_parser(
@@ -133,10 +130,6 @@ def _cmd_gen(args) -> int:
 def _cmd_expand(args) -> int:
     X = read_matrix(args.x)
     E = read_matrix(args.e)
-    nmin = min(X.shape)
-    if not 1 <= args.k <= nmin:
-        print(f"error: --k must be in 1..{nmin}, got {args.k}", file=sys.stderr)
-        return EXIT_USAGE
     exp = expand_matrix(X, E, args.k, FormulaVariant(args.variant))
     proj, co = exp.projections, exp.coefficients
     print(f"rows: {X.shape[0]}")
@@ -171,9 +164,7 @@ def _cmd_verify(args) -> int:
         E / norm,
         k=args.k,
         variant=FormulaVariant(args.variant),
-        eps0=args.eps0,
-        factor=args.factor,
-        count=args.count,
+        **{f: getattr(args, f) for f in ("eps0", "factor", "count") if f in args},
     )
     if args.out is not None:
         write_report_csv(args.out, report)
@@ -194,17 +185,12 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _errata_spectrum(p: int) -> tuple:
-    return tuple(3.0 * 0.7**j for j in range(p))
-
-
 def _cmd_errata(args) -> int:
     n, p, seed = args.n, args.p, args.seed
-    if not n >= p >= 2:
-        print(f"error: need n >= p >= 2, got n={n}, p={p}", file=sys.stderr)
-        return EXIT_USAGE
-    spec = SpectrumSpec(n=n, p=p, singular_values=_errata_spectrum(p), seed=seed)
-    X = matrix_with_spectrum(spec)
+    # the audit's InvalidDims is the dims check: n >= p >= 2
+    findings = shape_audit_as_printed(n, p)
+    sv = tuple(3.0 * 0.7**j for j in range(p))
+    X = matrix_with_spectrum(SpectrumSpec(n=n, p=p, singular_values=sv, seed=seed))
     E = perturbation_direction(n, p, (seed + 1) % 2**64)
 
     # one shared ladder for the corrected form and every cataloged variant
@@ -228,7 +214,7 @@ def _cmd_errata(args) -> int:
         else:
             expected, printed = d.dims(n, p)
             evidence = f"shape-audit,{expected},{printed},"
-            status = "confirmed"
+            status = "confirmed" if d in findings else "not confirmed"
         statuses.append(status)
         print(f"{d.item},{d.formula},{d.defect},{evidence},{status}")
 

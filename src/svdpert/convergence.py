@@ -119,16 +119,6 @@ def align_sign(reference, candidate) -> np.ndarray:
     return cand if float(ref @ cand) >= 0.0 else -cand
 
 
-def _gauge(exact: np.ndarray, reference: np.ndarray,
-           epsilon: float) -> np.ndarray:
-    """Rescale the exact unit vector into the chart where its coefficient
-    along the reference vector is 1."""
-    c = float(exact @ reference)
-    if abs(c) < MATCH_TOL:
-        raise TripletMatchAmbiguous(abs(c), MATCH_TOL, epsilon)
-    return exact / c
-
-
 def _check_unit(Eo: np.ndarray) -> None:
     nrm = frobenius_norm(Eo)
     if abs(nrm - 1.0) > 1e-8:
@@ -146,28 +136,30 @@ def _score_rung(problem, full: Svd, part, epsilon: float, variants) -> tuple:
     is orthogonal to the rest; then v = V0 V1[:, k - 1] is an exact right
     singular vector, and sigma and u are the column's norm and direction.
     At epsilon = 0 the triplet is full's own k-th.  The triplet is tracked
-    when its overlap V1[k - 1, k - 1] with the unperturbed right vector
-    reaches MATCH_TOL, and the exact vectors are rescaled into the
-    prediction's affine chart.
+    when both overlaps reach MATCH_TOL, first the right one V1[k - 1, k - 1]
+    with the unperturbed v1, then the left one u @ u1, else
+    TripletMatchAmbiguous; each exact vector is then divided by its own
+    overlap, which puts it in the prediction's affine chart.
     """
     Xo, Eo, swapped = problem
     dE = epsilon * Eo
     j = part.k - 1
     if epsilon == 0.0:
-        sigma, u, v, overlap = float(full.S[j]), full.U[:, j], part.v1, 1.0
+        sigma, u, v, right = float(full.S[j]), full.U[:, j], part.v1, 1.0
     else:
         W, e, V1 = _jacobi_sweeps((Xo + dE) @ full.V, JACOBI_SWEEP_LIMIT,
                                   pivot=j)
         w = W[:, j]
         norm = math.sqrt(float(w @ w))
         sigma = math.ldexp(norm, int(e[j]))
-        # a zero column has no direction, and _gauge refuses it
+        # a zero column has no direction; its zero left overlap is refused
         u = w / norm if norm else w
-        v, overlap = full.V @ V1[:, j], float(V1[j, j])
-    if abs(overlap) < MATCH_TOL:
-        raise TripletMatchAmbiguous(abs(overlap), MATCH_TOL, epsilon)
-    u_exact = _gauge(u, part.u1, epsilon)
-    v_exact = v / overlap
+        v, right = full.V @ V1[:, j], float(V1[j, j])
+    left = float(u @ part.u1)
+    for overlap in (right, left):
+        if abs(overlap) < MATCH_TOL:
+            raise TripletMatchAmbiguous(abs(overlap), MATCH_TOL, epsilon)
+    u_exact, v_exact = u / left, v / right
     samples = []
     for variant in variants:
         pred = expand_triplet(part, dE, variant)
@@ -317,16 +309,10 @@ def convergence_ladders(
 
 
 def convergence_ladder(
-    X,
-    E_dir,
-    k: int = 1,
-    variant: FormulaVariant = FormulaVariant.CORRECTED,
-    eps0: float = 1e-2,
-    factor: float = 0.5,
-    count: int = 8,
+    X, E_dir, k: int = 1, variant: FormulaVariant = FormulaVariant.CORRECTED,
+    **ladder,
 ) -> ConvergenceReport:
-    """Residual ladder and fitted per-metric orders for one variant; see
-    convergence_ladders."""
-    return convergence_ladders(
-        X, E_dir, (variant,), k=k, eps0=eps0, factor=factor, count=count
-    )[0]
+    """Residual ladder and fitted per-metric orders for one variant; the
+    ladder keywords eps0, factor and count, and their defaults, are
+    convergence_ladders'."""
+    return convergence_ladders(X, E_dir, (variant,), k=k, **ladder)[0]

@@ -29,18 +29,15 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def write_matrix(path, a, comments=()) -> None:
-    """Write a dense real matrix; comments go right after the banner."""
+def write_matrix(path, a) -> None:
+    """Write a dense real matrix: banner, dimensions line, then the entries
+    column-major (no comment lines; read_matrix skips any it finds)."""
     m = as_matrix(a, "matrix")
-    lines = [BANNER]
-    for c in comments:
-        lines.append(f"% {c}" if c else "%")
-    lines.append(f"{m.shape[0]} {m.shape[1]}")
     values = m.flatten(order="F").tolist()
     # one %-format pass; "%.17g" formats a float exactly as _fmt does
     body = ("%.17g\n" * len(values)) % tuple(values)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{BANNER}\n{m.shape[0]} {m.shape[1]}\n")
         fh.write(body)
 
 

@@ -150,7 +150,7 @@ def matrix_with_spectrum(spec: SpectrumSpec) -> np.ndarray:
             qright = qr_orthonormal(gr)
         except RankDeficient:
             continue
-        return ql @ np.diag(np.array(spec.singular_values)) @ qright.T
+        return (ql * np.array(spec.singular_values)) @ qright.T
     raise RankDeficient(
         f"no full-rank normal draw in {MAX_SPECTRUM_ATTEMPTS} attempts"
     )

