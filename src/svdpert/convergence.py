@@ -119,10 +119,16 @@ def align_sign(reference, candidate) -> np.ndarray:
     return cand if float(ref @ cand) >= 0.0 else -cand
 
 
-def _check_unit(Eo: np.ndarray) -> None:
-    nrm = frobenius_norm(Eo)
-    if abs(nrm - 1.0) > 1e-8:
-        raise ValueError(f"direction must have unit Frobenius norm, got {nrm}")
+def _decompose(X, E_dir, k: int) -> tuple:
+    """tall_problem's (Xo, Eo, swapped) with Eo scaled to unit Frobenius
+    norm (a zero E_dir raises ZeroVector), the SVD of Xo, and its
+    partition around triplet k."""
+    Xo, Eo, swapped = tall_problem(X, E_dir)
+    norm = frobenius_norm(Eo)
+    if norm == 0.0:
+        raise ZeroVector("direction E_dir has zero norm")
+    full = svd(Xo)
+    return (Xo, Eo / norm, swapped), full, partition_svd(full, k)
 
 
 def _score_rung(problem, full: Svd, part, epsilon: float, variants) -> tuple:
@@ -188,14 +194,11 @@ def residuals_at(
     Decomposes X, solves for the exact k-th triplet of X + epsilon * E_dir
     as one ladder rung does (see _score_rung), rescales its vectors into
     the prediction's affine chart, and returns the Euclidean residuals
-    plus |sigma_exact - sigma~|.  E_dir must have unit Frobenius norm.
+    plus |sigma_exact - sigma~|.  E_dir is scaled to unit Frobenius norm.
     """
     if not (math.isfinite(epsilon) and epsilon >= 0.0):
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
-    problem = tall_problem(X, E_dir)
-    _check_unit(problem[1])
-    full = svd(problem[0])
-    part = partition_svd(full, k)
+    problem, full, part = _decompose(X, E_dir, k)
     return _score_rung(problem, full, part, epsilon, (variant,))[0]
 
 
@@ -272,10 +275,12 @@ def convergence_ladders(
     The decomposition of X is computed once, and each rung solves for the
     one exact triplet that every variant is scored against, by Jacobi
     rotations of the tracked column alone, so a ladder costs one SVD and
-    count targeted solves however many variants it serves.  Requires
-    count >= 4, 0 < factor < 1, and eps0 < 0.1 * (spectral gap at the
-    selected triplet) so that tracking stays unambiguous.  Sampling is
-    strictly sequential, so identical inputs give bitwise-identical reports.
+    count targeted solves however many variants it serves.  Any nonzero
+    E_dir is scaled to unit Frobenius norm, so 2^j E_dir gives the same
+    reports.  Requires count >= 4, 0 < factor < 1, and eps0 < 0.1 *
+    (spectral gap at the selected triplet) so that tracking stays
+    unambiguous.  Sampling is strictly sequential, so identical inputs
+    give bitwise-identical reports.
     """
     variants = tuple(variants)
     if not variants:
@@ -286,17 +291,14 @@ def convergence_ladders(
         raise ValueError(f"factor must lie in (0, 1), got {factor}")
     if not (math.isfinite(eps0) and eps0 > 0.0):
         raise ValueError(f"eps0 must be positive, got {eps0}")
-    problem = tall_problem(X, E_dir)
-    full = svd(problem[0])
     # triplet separation is a data problem and is reported as such,
     # before eps0 (a flag problem) is ever compared against the gap
-    part = partition_svd(full, k)
+    problem, full, part = _decompose(X, E_dir, k)
     gap = triplet_gap(full, k)
     if eps0 >= 0.1 * gap:
         raise ValueError(
             f"eps0 ={eps0} must stay below 0.1 * spectral gap ({0.1 * gap:.3e})"
         )
-    _check_unit(problem[1])
     rungs = [
         _score_rung(problem, full, part, eps0 * factor**i, variants)
         for i in range(count)

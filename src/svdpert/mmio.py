@@ -85,24 +85,25 @@ def read_matrix(path) -> np.ndarray:
 
     need = rows * cols
     values = []
-    for i in range(need):
-        lineno = pos + i + 1
-        if pos + i >= len(lines):
-            raise ParseError(
-                lineno, f"expected {need} entries, file ends after {i}"
-            )
-        text = lines[pos + i].strip()
-        if not text or len(text.split()) != 1:
-            raise ParseError(lineno, "expected exactly one matrix entry")
+    # float() refuses blank and multi-token lines; split only names the fault
+    for lineno, line in enumerate(lines[pos:pos + need], pos + 1):
+        text = line.strip()
         try:
             if "_" in text:
                 raise ValueError(text)
             v = float(text)
+            if math.isfinite(v):
+                values.append(v)
+                continue
+            reason = f"non-finite entry: {text!r}"
         except ValueError:
-            raise ParseError(lineno, f"not a real number: {text!r}")
-        if not math.isfinite(v):
-            raise ParseError(lineno, f"non-finite entry: {text!r}")
-        values.append(v)
+            reason = f"not a real number: {text!r}"
+        if len(text.split()) != 1:
+            reason = "expected exactly one matrix entry"
+        raise ParseError(lineno, reason)
+    if len(values) < need:
+        raise ParseError(pos + len(values) + 1,
+                         f"expected {need} entries, file ends after {len(values)}")
     for extra in range(pos + need, len(lines)):
         if lines[extra].strip():
             raise ParseError(extra + 1, "unexpected content after matrix entries")

@@ -70,10 +70,14 @@ def test_residuals_at_zero_epsilon_is_noise_floor():
         assert res.res_sigma == 0.0
 
 
-def test_residuals_at_requires_unit_direction():
-    x, e = make_instance(4, 3, 62)
-    with pytest.raises(ValueError):
-        sp.residuals_at(x, 2.0 * e, 1e-3)
+def test_zero_direction_raises_before_decomposing():
+    # eye(4, 3) has no gap at k = 1, so a GapTooSmall here would mean the
+    # direction was checked after the decomposition
+    x = np.eye(4, 3)
+    with pytest.raises(ZeroVector, match="zero norm"):
+        sp.residuals_at(x, np.zeros((4, 3)), 1e-3)
+    with pytest.raises(ZeroVector, match="zero norm"):
+        sp.convergence_ladders(x, np.zeros((4, 3)), (FormulaVariant.CORRECTED,))
 
 
 def test_residuals_at_sign_flip_defect_is_first_order():
@@ -130,7 +134,7 @@ def test_residuals_at_annihilated_triplet_raises():
     x = np.diag([2.0, 1.0])
     norm = sp.frobenius_norm(x)
     with pytest.raises(TripletMatchAmbiguous) as exc:
-        sp.residuals_at(x, -x / norm, norm)
+        sp.residuals_at(x, -x, norm)
     assert exc.value.overlap == 0.0
     assert exc.value.epsilon == norm
 
@@ -427,3 +431,24 @@ def test_ladder_orders_are_scale_invariant(j):
     for b, s in zip(base, scaled):
         for metric in ("order_u", "order_v", "order_sigma"):
             assert abs(getattr(s, metric) - getattr(b, metric)) <= 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=-900, max_value=900))
+@example(900)
+@example(-900)
+def test_ladder_direction_power_of_two_scaling_is_bitwise(j):
+    # the ladder divides E_dir by its Frobenius norm, which is exact under
+    # power-of-two scaling, so 2^j E_dir is the same unit direction
+    x, e = make_instance(6, 4, 70)
+    variants = tuple(FormulaVariant)
+    base = sp.convergence_ladders(x, e, variants)
+    assert repr(sp.convergence_ladders(x, 2.0**j * e, variants)) == repr(base)
+
+
+def test_ladder_direction_scaled_by_ten_fits_the_same_orders():
+    # a factor that is not a power of two moves the unit direction by an ulp
+    x, e = make_instance(6, 4, 70)
+    base, scaled = (sp.convergence_ladder(x, s * e) for s in (1.0, 10.0))
+    for metric in ("order_u", "order_v", "order_sigma"):
+        assert abs(getattr(scaled, metric) - getattr(base, metric)) <= 1e-9

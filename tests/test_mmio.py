@@ -174,10 +174,39 @@ def test_parse_error_line_numbers(tmp_path):
     with pytest.raises(ParseError):
         sp.read_matrix(f)
 
+    # each entry fault, with its reason; in a file that is also short, the
+    # bad entry's error wins over the missing ones
+    for entries, line, reason in [
+        (["1", "", "2"], 4, "expected exactly one matrix entry"),
+        (["1", "2 3", "4"], 4, "expected exactly one matrix entry"),
+        (["1_5 2", "1", "1"], 3, "expected exactly one matrix entry"),
+        (["1", "1", "oops"], 5, "not a real number: 'oops'"),
+        (["nan", "1", "1"], 3, "non-finite entry: 'nan'"),
+        (["1", "1e999", "1"], 4, "non-finite entry: '1e999'"),
+        (["1", "x"], 4, "not a real number: 'x'"),
+        (["1", "2"], 5, "expected 3 entries, file ends after 2"),
+    ]:
+        write_lines(f, ["%%MatrixMarket matrix array real general", "3 1",
+                        *entries])
+        with pytest.raises(ParseError) as exc:
+            sp.read_matrix(f)
+        assert (exc.value.line, exc.value.reason) == (line, reason)
+
     f.write_text("", encoding="ascii")
     with pytest.raises(ParseError) as exc:
         sp.read_matrix(f)
     assert exc.value.line == 1
+
+
+def test_entry_whitespace_is_stripped(tmp_path):
+    # str.strip also drops the separators \x1c-\x1f, which float() keeps
+    f = tmp_path / "ws.mtx"
+    f.write_text(
+        "%%MatrixMarket matrix array real general\n3 1\n 2.5\t\n+.5\x1c\n"
+        "\x1f-1 \n",
+        encoding="ascii",
+    )
+    assert sp.read_matrix(f).tolist() == [[2.5], [0.5], [-1.0]]
 
 
 def test_blank_trailing_lines_tolerated(tmp_path):

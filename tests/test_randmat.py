@@ -11,7 +11,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import run_cli
+
 import svdpert as sp
+import svdpert.randmat
+from svdpert.errors import RankDeficient
 
 MASK = (1 << 64) - 1
 
@@ -206,6 +210,48 @@ def test_matrix_with_spectrum_seed_changes_matrix():
     a = sp.matrix_with_spectrum(sp.SpectrumSpec(n=5, p=3, singular_values=sv, seed=1))
     b = sp.matrix_with_spectrum(sp.SpectrumSpec(n=5, p=3, singular_values=sv, seed=2))
     assert not np.array_equal(a, b)
+
+
+def test_matrix_with_spectrum_retries_a_rank_deficient_draw(monkeypatch):
+    # one failed factorization moves to the next seed, wrapping at 2^64
+    real = svdpert.randmat.qr_orthonormal
+    calls = []
+
+    def fails_once(a):
+        calls.append(a)
+        if len(calls) == 1:
+            raise RankDeficient("forced")
+        return real(a)
+
+    spec = sp.SpectrumSpec(n=5, p=3, singular_values=(3.0, 2.0, 1.0),
+                           seed=2**64 - 1)
+    monkeypatch.setattr(svdpert.randmat, "qr_orthonormal", fails_once)
+    got = sp.matrix_with_spectrum(spec)
+    monkeypatch.undo()
+    want = sp.matrix_with_spectrum(sp.SpectrumSpec(
+        n=5, p=3, singular_values=(3.0, 2.0, 1.0), seed=0))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_matrix_with_spectrum_gives_up_after_the_last_attempt(monkeypatch,
+                                                               tmp_path):
+    calls = []
+
+    def fails(a):
+        calls.append(a)
+        raise RankDeficient("forced")
+
+    monkeypatch.setattr(svdpert.randmat, "qr_orthonormal", fails)
+    spec = sp.SpectrumSpec(n=5, p=3, singular_values=(3.0, 2.0, 1.0), seed=4)
+    with pytest.raises(RankDeficient, match="no full-rank normal draw"):
+        sp.matrix_with_spectrum(spec)
+    assert len(calls) == svdpert.randmat.MAX_SPECTRUM_ATTEMPTS
+    out = tmp_path / "x.mtx"
+    code, stdout, err = run_cli(["gen", "--n", "5", "--p", "3", "--sv",
+                                 "3,2,1", "--out", str(out)])
+    assert (code, stdout) == (1, "")
+    assert "no full-rank normal draw" in err
+    assert not out.exists()
 
 
 @settings(max_examples=20, deadline=None)
