@@ -16,6 +16,7 @@ All numeric output uses 17 significant digits.  Output blocks are
 """
 
 import argparse
+import functools
 import sys
 
 from .convergence import convergence_ladder, convergence_ladders
@@ -52,6 +53,9 @@ def _fmt_vec(v) -> str:
     return " ".join(_fmt(x) for x in v)
 
 
+# one parser per process: argparse takes about a millisecond to build it,
+# a sizeable share of a small command
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="svdpert",

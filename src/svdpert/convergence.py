@@ -36,6 +36,7 @@ from .errors import (
 from .linalg import (
     JACOBI_SWEEP_LIMIT,
     Svd,
+    _exponent,
     _jacobi_sweeps,
     frobenius_norm,
     svd,
@@ -124,6 +125,9 @@ def _decompose(X, E_dir, k: int) -> tuple:
     norm (a zero E_dir raises ZeroVector), the SVD of Xo, and its
     partition around triplet k."""
     Xo, Eo, swapped = tall_problem(X, E_dir)
+    # divided in the scaled form frobenius_norm sums in, so a direction
+    # whose norm lies beyond the double range is still normalized
+    Eo = np.ldexp(Eo, -_exponent(Eo))
     norm = frobenius_norm(Eo)
     if norm == 0.0:
         raise ZeroVector("direction E_dir has zero norm")

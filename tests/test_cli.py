@@ -346,6 +346,24 @@ def test_verify_far_scaled_direction_is_normalized(tmp_path, scale):
         assert abs(float(kb[key]) - float(ka[key])) <= 1e-9
 
 
+def test_verify_direction_norm_beyond_double_range(tmp_path):
+    # the Frobenius norm of 1e308 entries overflows; the direction is
+    # divided by it in scaled form, so the run is the 2^-1000 copy's
+    x = tmp_path / "x.mtx"
+    sp.write_matrix(x, sp.matrix_with_spectrum(
+        sp.SpectrumSpec(n=4, p=3, singular_values=(3.0, 2.0, 1.0), seed=0)))
+    runs = []
+    for name, shift in (("huge", 0), ("scaled", -1000)):
+        edir, out = tmp_path / f"{name}.mtx", tmp_path / f"{name}.csv"
+        sp.write_matrix(edir, np.ldexp(np.full((4, 3), 1e308), shift))
+        code, stdout, err = run_cli(
+            ["verify", "--x", str(x), "--edir", str(edir), "--out", str(out)]
+        )
+        runs.append((code, stdout, err, out.read_bytes()))
+    assert runs[0][0] == 0, runs[0][2]
+    assert runs[0] == runs[1]
+
+
 def test_verify_zero_direction_is_usage_error(tmp_path):
     x, e = write_benchmark(tmp_path)
     zero = tmp_path / "zero.mtx"
@@ -487,6 +505,25 @@ def test_unknown_variant_is_usage_error(tmp_path):
         ["expand", "--x", str(x), "--e", str(x), "--variant", "bogus"]
     )
     assert code == 2
+
+
+def test_parser_built_once_keeps_calls_apart(tmp_path, monkeypatch):
+    # main reuses one parser per process: ladder flags given to one call
+    # must not reach the next, whose omitted flags take the library's
+    # defaults, and help output must be a freshly built parser's
+    x, e = write_benchmark(tmp_path)
+    plain = ["verify", "--x", str(x), "--edir", str(e)]
+    flagged = [*plain, "--eps0", "0.001", "--factor", "0.6", "--count", "6"]
+    helps = [["--help"], ["verify", "--help"], ["errata", "--help"]]
+    cached = [run_cli(argv) for argv in (plain, flagged, plain, flagged, *helps)]
+    monkeypatch.setattr(svdpert.cli, "build_parser",
+                        svdpert.cli.build_parser.__wrapped__)
+    fresh = [run_cli(argv) for argv in (plain, flagged, *helps)]
+    assert all(code == 0 for code, _, _ in cached)
+    assert cached[0] == cached[2] == fresh[0]
+    assert cached[1] == cached[3] == fresh[1]
+    assert cached[0] != cached[1]
+    assert cached[4:] == fresh[2:]
 
 
 def test_module_entry_point_subprocess():
