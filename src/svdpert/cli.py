@@ -159,23 +159,16 @@ def _cmd_expand(args) -> int:
 def _cmd_verify(args) -> int:
     X = read_matrix(args.x)
     E = read_matrix(args.edir)
-    report = convergence_ladder(
-        X,
-        E,
-        k=args.k,
-        variant=FormulaVariant(args.variant),
-        **{f: getattr(args, f) for f in ("eps0", "factor", "count") if f in args},
-    )
+    ladder = {f: getattr(args, f) for f in ("eps0", "factor", "count") if f in args}
+    report = convergence_ladder(X, E, k=args.k, variant=FormulaVariant(args.variant),
+                                **ladder)
     if args.out is not None:
         write_report_csv(args.out, report)
     print(f"variant: {report.variant.value}")
     print(f"count: {len(report.samples)}")
-    print(f"order_u: {_fmt(report.order_u)}")
-    print(f"r2_u: {_fmt(report.r2_u)}")
-    print(f"order_v: {_fmt(report.order_v)}")
-    print(f"r2_v: {_fmt(report.r2_v)}")
-    print(f"order_sigma: {_fmt(report.order_sigma)}")
-    print(f"r2_sigma: {_fmt(report.r2_sigma)}")
+    for metric in ("u", "v", "sigma"):
+        print(f"order_{metric}: {_fmt(getattr(report, 'order_' + metric))}")
+        print(f"r2_{metric}: {_fmt(getattr(report, 'r2_' + metric))}")
     if report.min_r2 < R2_GATE:
         print(
             f"error: fit unreliable (min r2 {report.min_r2:.4f} < {R2_GATE})",

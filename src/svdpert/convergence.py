@@ -12,12 +12,13 @@ unperturbed vector equals 1, matching the prediction's parametrization,
 and the Euclidean difference is taken.  The rescale also makes the
 comparison sign-proof.
 
-A ladder decomposes the unperturbed matrix X once.  Each rung then solves
-for the one exact perturbed triplet it needs: one-sided Jacobi on
-(X + epsilon E) V0, V0 the right singular vectors of X, rotating only the
-pairs that contain the tracked column k, until that column is orthogonal
-to all others.  Every requested variant is scored against that triplet.
-The triplet is tracked by its right-vector overlap V1[k, k] with the
+A ladder decomposes X once and projects the unit direction E once; the
+prediction is linear in epsilon, so each variant's is formed once and
+scaled to every rung.  The rungs' exact triplets are solved together, each
+with arithmetic of its own: one-sided Jacobi on (X + epsilon E) V0, V0 the
+right singular vectors of X, rotating only the pairs that contain the
+tracked column k until it is orthogonal to all others.  Every variant is
+scored against each rung's triplet, tracked by its overlaps with the
 unperturbed one; an overlap, right or left, below MATCH_TOL means the
 perturbation is too large to track and raises TripletMatchAmbiguous.
 """
@@ -35,18 +36,18 @@ from .errors import (
 )
 from .linalg import (
     JACOBI_SWEEP_LIMIT,
-    Svd,
     _exponent,
-    _jacobi_sweeps,
+    _pivot_sweeps,
     frobenius_norm,
     svd,
 )
 from .perturbation import (
     FormulaVariant,
-    expand_triplet,
+    compute_projections,
     partition_svd,
     tall_problem,
     triplet_gap,
+    variant_coefficients,
 )
 
 # Residuals at or below FLOOR_TOL sit in the numerical noise floor and are
@@ -135,75 +136,69 @@ def _decompose(X, E_dir, k: int) -> tuple:
     return (Xo, Eo / norm, swapped), full, partition_svd(full, k)
 
 
-def _score_rung(problem, full: Svd, part, epsilon: float, variants) -> tuple:
-    """Residuals of each variant's prediction at one perturbation size, all
-    scored against one exact triplet; one ResidualSample per variant.
-
-    problem is tall_problem's (Xo, Eo, swapped), full the decomposition of
-    Xo and part its partition around k.  The exact triplet of
-    Xo + epsilon * Eo comes from Jacobi on (Xo + epsilon * Eo) V0 with
-    V0 = full.V, rotating only the pairs that contain column k - 1 until it
-    is orthogonal to the rest; then v = V0 V1[:, k - 1] is an exact right
-    singular vector, and sigma and u are the column's norm and direction.
-    At epsilon = 0 the triplet is full's own k-th.  The triplet is tracked
-    when both overlaps reach MATCH_TOL, first the right one V1[k - 1, k - 1]
-    with the unperturbed v1, then the left one u @ u1, else
-    TripletMatchAmbiguous; each exact vector is then divided by its own
-    overlap, which puts it in the prediction's affine chart.
+def _score_ladder(problem, full, part, eps0: float, scales, variants) -> list:
+    """One list of ResidualSamples per variant over the rungs epsilon_i =
+    eps0 * scales[i], for _decompose's problem, full and part.  _pivot_sweeps
+    solves the stack Xo V0 + epsilon_i (Eo V0), V0 = full.V, on column k - 1
+    (at epsilon 0 the triplet is full's own); v = V0 y.  Walking the rungs in
+    order, a rung is tracked when both overlaps reach MATCH_TOL, first the
+    right one y[k - 1], then the left one u @ u1, else TripletMatchAmbiguous;
+    each exact vector is divided by its overlap, into the prediction's affine
+    chart.  E is projected once, as eps0 * Eo; rung i scales each variant's
+    corrections by s = scales[i] in expand_triplet's order of additions
+    (u1 + s U2 g2 [+ s g3], v1 + s V2 h2, sigma1 + s theta1): bitwise
+    expand_triplet at epsilon_i when s is a power of two, barring subnormals.
     """
     Xo, Eo, swapped = problem
-    dE = epsilon * Eo
     j = part.k - 1
-    if epsilon == 0.0:
-        sigma, u, v, right = float(full.S[j]), full.U[:, j], part.v1, 1.0
+    epsilons = [eps0 * s for s in scales]
+    if eps0 == 0.0:
+        rungs = [(float(full.S[j]), full.U[:, j], part.v1, 1.0)]
     else:
-        W, e, V1 = _jacobi_sweeps((Xo + dE) @ full.V, JACOBI_SWEEP_LIMIT,
-                                  pivot=j)
-        w = W[:, j]
-        norm = math.sqrt(float(w @ w))
-        sigma = math.ldexp(norm, int(e[j]))
-        # a zero column has no direction; its zero left overlap is refused
-        u = w / norm if norm else w
-        v, right = full.V @ V1[:, j], float(V1[j, j])
-    left = float(u @ part.u1)
-    for overlap in (right, left):
-        if abs(overlap) < MATCH_TOL:
-            raise TripletMatchAmbiguous(abs(overlap), MATCH_TOL, epsilon)
-    u_exact, v_exact = u / left, v / right
-    samples = []
+        stack = Xo @ full.V + np.multiply.outer(epsilons, Eo @ full.V)
+        rungs = ((sigma, u, full.V @ y, float(y[j]))
+                 for sigma, u, y in _pivot_sweeps(stack, j, JACOBI_SWEEP_LIMIT))
+    exact = []
+    for epsilon, (sigma, u, v, right) in zip(epsilons, rungs):
+        left = float(u @ part.u1)
+        for overlap in (right, left):
+            if abs(overlap) < MATCH_TOL:
+                raise TripletMatchAmbiguous(abs(overlap), MATCH_TOL, epsilon)
+        exact.append((sigma, u / left, v / right))
+    sigmas, us, vs = (np.array(column) for column in zip(*exact))
+    proj = compute_projections(part, eps0 * Eo)
+    s = np.array(scales)[:, None]
+    ladders = []
     for variant in variants:
-        pred = expand_triplet(part, dE, variant)
-        du, dv = u_exact - pred.u_tilde, v_exact - pred.v_tilde
-        res_u, res_v = math.sqrt(du @ du), math.sqrt(dv @ dv)
+        co = variant_coefficients(part, proj, variant)
+        u = part.u1 + s * (part.U2 @ co.g2)
+        if part.has_complement and not variant.omits_complement:
+            u = u + s * co.g3
+        v = part.v1 + s * (part.V2 @ co.h2)
+        res_u, res_v = (np.sqrt(np.add.reduce(np.square(d), axis=1))
+                        for d in (us - u, vs - v))
+        res_sigma = np.abs(sigmas - (part.sigma1 + s[:, 0] * co.theta1))
         if swapped:
             res_u, res_v = res_v, res_u
-        samples.append(ResidualSample(
-            epsilon=float(epsilon),
-            res_u=res_u,
-            res_v=res_v,
-            res_sigma=abs(sigma - pred.sigma_tilde),
-        ))
-    return tuple(samples)
+        ladders.append([ResidualSample(*sample) for sample in zip(
+            epsilons, res_u.tolist(), res_v.tolist(), res_sigma.tolist())])
+    return ladders
 
 
-def residuals_at(
-    X,
-    E_dir,
-    epsilon: float,
-    k: int = 1,
-    variant: FormulaVariant = FormulaVariant.CORRECTED,
-) -> ResidualSample:
+def residuals_at(X, E_dir, epsilon: float, k: int = 1,
+                 variant: FormulaVariant = FormulaVariant.CORRECTED) -> ResidualSample:
     """Residuals of the variant's prediction at one perturbation size.
 
-    Decomposes X, solves for the exact k-th triplet of X + epsilon * E_dir
-    as one ladder rung does (see _score_rung), rescales its vectors into
-    the prediction's affine chart, and returns the Euclidean residuals
-    plus |sigma_exact - sigma~|.  E_dir is scaled to unit Frobenius norm.
+    Decomposes X and scores the one rung epsilon as a ladder does (see
+    _score_ladder): the exact k-th triplet of X + epsilon * E_dir, its
+    vectors rescaled into the prediction's affine chart, gives the
+    Euclidean residuals plus |sigma_exact - sigma~|.  E_dir is scaled to
+    unit Frobenius norm.
     """
     if not (math.isfinite(epsilon) and epsilon >= 0.0):
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
     problem, full, part = _decompose(X, E_dir, k)
-    return _score_rung(problem, full, part, epsilon, (variant,))[0]
+    return _score_ladder(problem, full, part, epsilon, [1.0], (variant,))[0][0]
 
 
 def fit_loglog_slope(epsilons, residuals):
@@ -222,9 +217,8 @@ def fit_loglog_slope(epsilons, residuals):
     return sxy / sxx, min(1.0, sxy * sxy / (sxx * syy))
 
 
-def fit_report(
-    variant: FormulaVariant, samples, sigma_max: float = 1.0
-) -> ConvergenceReport:
+def fit_report(variant: FormulaVariant, samples,
+               sigma_max: float = 1.0) -> ConvergenceReport:
     """Fit per-metric orders over a residual ladder.
 
     Samples in the noise floor are excluded per metric: res_u and res_v
@@ -263,28 +257,23 @@ def fit_report(
     )
 
 
-def convergence_ladders(
-    X,
-    E_dir,
-    variants,
-    k: int = 1,
-    eps0: float = 1e-2,
-    factor: float = 0.5,
-    count: int = 8,
-) -> tuple:
+def convergence_ladders(X, E_dir, variants, k: int = 1, eps0: float = 1e-2,
+                        factor: float = 0.5, count: int = 8) -> tuple:
     """Residual ladder epsilon_i = eps0 * factor^i, i = 0..count-1, scored
     for several variants at once; returns one ConvergenceReport per
     variant, in the order given.
 
-    The decomposition of X is computed once, and each rung solves for the
-    one exact triplet that every variant is scored against, by Jacobi
-    rotations of the tracked column alone, so a ladder costs one SVD and
-    count targeted solves however many variants it serves.  Any nonzero
-    E_dir is scaled to unit Frobenius norm, so 2^j E_dir gives the same
-    reports.  Requires count >= 4, 0 < factor < 1, and eps0 < 0.1 *
-    (spectral gap at the selected triplet) so that tracking stays
-    unambiguous.  Sampling is strictly sequential, so identical inputs
-    give bitwise-identical reports.
+    X is decomposed once, each variant's prediction formed once and scaled
+    to every rung, and the rungs' exact triplets solved in one lockstep
+    Jacobi solve of the tracked column (see _score_ladder), however many
+    variants share the ladder.  Any nonzero E_dir is scaled to unit
+    Frobenius norm, so 2^j E_dir gives the same reports.  Requires count >=
+    4, 0 < factor < 1, and eps0 < 0.1 * (spectral gap at the selected
+    triplet) so that tracking stays unambiguous.  Each rung's arithmetic is
+    its own, so reports are bitwise reproducible and, with factor 0.5, every
+    sample is residuals_at's at its epsilon.  The first rung that exhausts
+    the sweep budget or cannot be tracked raises ConvergenceFailure or
+    TripletMatchAmbiguous.
     """
     variants = tuple(variants)
     if not variants:
@@ -303,15 +292,10 @@ def convergence_ladders(
         raise ValueError(
             f"eps0 ={eps0} must stay below 0.1 * spectral gap ({0.1 * gap:.3e})"
         )
-    rungs = [
-        _score_rung(problem, full, part, eps0 * factor**i, variants)
-        for i in range(count)
-    ]
-    sigma_max = float(full.S[0])
-    return tuple(
-        fit_report(variant, samples, sigma_max)
-        for variant, samples in zip(variants, zip(*rungs))
-    )
+    scales = [factor**i for i in range(count)]
+    ladders = _score_ladder(problem, full, part, eps0, scales, variants)
+    return tuple(fit_report(variant, samples, float(full.S[0]))
+                 for variant, samples in zip(variants, ladders))
 
 
 def convergence_ladder(

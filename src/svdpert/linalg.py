@@ -4,20 +4,15 @@ Matrices are plain float64 numpy arrays.  Everything here is deterministic:
 fixed sweep orders, stable sorts, and a fixed sign convention, so repeated
 calls on the same input are bitwise identical.
 
-The SVD is a thin one-sided Jacobi preconditioned by two QR factorizations:
-the taller orientation (the input is transposed internally when rows <
-cols) is reduced to a p x p triangle whose columns are then rotated
-pairwise until all mutual Gram entries vanish relative to the column
-norms, so ``X = U @ np.diag(S) @ V.T`` with U n x r, V p x r and
-``r = min(n, p)``.  No complement of the left basis is built: callers that
-need it use the projector ``I - U U^T`` instead.  The same sweep kernel,
-restricted to the pairs that contain one pivot column, yields a single
-exact singular triplet, which is all a convergence-ladder rung reads.
-Each column is carried as a mantissa times its own power of two,
-renormalized every sweep, so a column far below the largest one, or
-cancelled far below its starting scale, keeps full relative accuracy.  The
-scaling is exact for entries that neither are nor become subnormal, so it
-keeps the sweeps clear of overflow and underflow without moving a bit.
+The SVD is a thin one-sided Jacobi preconditioned by two QR factorizations,
+``X = U @ np.diag(S) @ V.T`` with U n x r, V p x r, ``r = min(n, p)``, and
+no complement basis (callers use ``I - U U^T``).  The same rotations, on the
+pairs that hold one pivot column of a stack of matrices, give one exact
+singular triplet per matrix: all that a convergence ladder's rungs read.
+Each column is a mantissa times its own power of two, renormalized every
+sweep, so a column far below the largest one, or cancelled far below its
+starting scale, keeps full relative accuracy; the scaling is exact for
+entries that neither are nor become subnormal.
 """
 
 import math
@@ -90,15 +85,12 @@ def frobenius_norm(a) -> float:
 def _rotation(a: float, b: float, c: float, d: int):
     """Jacobi rotation of the columns x = 2^ei wi and y = 2^ej wj, given
     the mantissa Gram entries a = wi.wi, b = wj.wj, c = wi.wj and
-    d = ej - ei.
-
-    Returns (cs, sn, sn * 2^d, sn / 2^d): the rotation x' = cs x - sn y,
-    y' = sn x + cs y, and the factors its mantissa form needs,
-    wi' = cs wi - (sn 2^d) wj and wj' = (sn / 2^d) wi + cs wj.  The angle
-    is tan = t = sign(zeta) / (|zeta| + hypot(1, zeta)) with
-    zeta = (y.y - x.x) / (2 x.y), evaluated as q = t / 2^d from
-    z = 2^d zeta with x the larger-scaled column (d <= 0), so that no
-    factor above 1 is formed.
+    d = ej - ei.  Returns (cs, sn, sn * 2^d, sn / 2^d): the rotation
+    x' = cs x - sn y, y' = sn x + cs y, and the factors of its mantissa form
+    wi' = cs wi - (sn 2^d) wj, wj' = (sn / 2^d) wi + cs wj.  The angle is
+    tan = t = sign(zeta) / (|zeta| + hypot(1, zeta)), zeta = (y.y - x.x) /
+    (2 x.y), evaluated as q = t / 2^d from z = 2^d zeta with x the
+    larger-scaled column (d <= 0), so that no factor above 1 is formed.
     """
     if d > 0:
         # the mirrored pair: swapping the columns negates the sine
@@ -133,35 +125,46 @@ def _rotate_pairs(W, V, exps, pairs) -> bool:
     returns whether any pair was rotated."""
     rotated = False
     for i, j in pairs:
-        wi = W[i]
-        wj = W[j]
-        a = float(wi @ wi)
-        b = float(wj @ wj)
-        c = float(wi @ wj)
+        wi, wj, vi, vj = W[i], W[j], V[i], V[j]
+        a, b, c = float(wi @ wi), float(wj @ wj), float(wi @ wj)
         if abs(c) <= JACOBI_TOL * math.sqrt(a) * math.sqrt(b):
             continue
         rotated = True
         cs, sn, s_up, s_down = _rotation(a, b, c, exps[j] - exps[i])
         W[i], W[j] = cs * wi - s_up * wj, s_down * wi + cs * wj
-        vi = V[i]
-        vj = V[j]
         V[i], V[j] = cs * vi - sn * vj, sn * vi + cs * vj
     return rotated
 
 
-def _batched_sweep(W, V, e):
-    """One sweep of _round_robin's rounds, each rotated at once: one Gram
-    step and one rotation over its disjoint pairs.  Returns (W, V, e,
-    rotated).
+def _rotate(x, y, vx, vy, a, b, c, d, active):
+    """Rotate each pair of rows (x[i], y[i]), mantissas with Gram entries
+    a[i] = x.x, b[i] = y.y, c[i] = x.y and exponent difference d[i], by
+    _rotation's angle, and the rows (vx[i], vy[i]) of V with them; the
+    identity where active[i] is False.  Returns the four rotated arrays.
+    A pair with d > 0 is mirrored, as _rotation mirrors it, so that its
+    first column has the larger exponent."""
+    mirror = d > 0
+    first = np.where(mirror, b, a)
+    second = np.where(mirror, a, b)
+    d = -np.abs(d)
+    z = (np.ldexp(second, 2 * d) - first) / (2.0 * np.where(active, c, 1.0))
+    q = np.copysign(1.0, z) / (np.abs(z) + np.hypot(np.ldexp(1.0, d), z))
+    cs = 1.0 / np.sqrt(1.0 + np.square(np.ldexp(q, d)))
+    big = cs * q * np.where(active, np.where(mirror, -1.0, 1.0), 0.0)
+    small = np.ldexp(big, 2 * d)
+    cs, sn, s_up, s_down = (f[:, None] for f in (
+        np.where(active, cs, 1.0), np.ldexp(big, d),
+        np.where(mirror, big, small), np.where(mirror, small, big)))
+    return cs * x - s_up * y, s_down * x + cs * y, cs * vx - sn * vy, sn * vx + cs * vy
 
-    The rows (columns of the swept matrix, an even count) are kept in the
-    order of the schedule's ring, so a round's pairs are the first half
-    and the second half reversed, and turning the ring is one
-    concatenation per array; after the m - 1 rounds of a sweep the rows
-    are back in their own order.  The angles are _rotation's, each pair ordered so that its
-    first column has the larger exponent, which is how _rotation mirrors a
-    pair itself; a pair already orthogonal to JACOBI_TOL gets the
-    identity.
+
+def _batched_sweep(W, V, e):
+    """One sweep of _round_robin's rounds, each one Gram step and one
+    _rotate of its disjoint pairs; returns (W, V, e, rotated).  The rows
+    (columns of the swept matrix, an even count) are kept in the order of
+    the schedule's ring, so a round's pairs are the first half and the
+    second half reversed, and turning the ring is one concatenation per
+    array; after the m - 1 rounds of a sweep the rows are back in order.
     """
     h = len(e) // 2
     rotated = False
@@ -174,55 +177,31 @@ def _batched_sweep(W, V, e):
         active = np.abs(c) > JACOBI_TOL * norms[:h] * norms[h:][::-1]
         if active.any():
             rotated = True
-            d = e[h:][::-1] - e[:h]
-            mirror = d > 0
-            first = np.where(mirror, squares[h:][::-1], squares[:h])
-            second = np.where(mirror, squares[:h], squares[h:][::-1])
-            d = -np.abs(d)
-            z = (np.ldexp(second, 2 * d) - first) / (2.0 * np.where(active, c, 1.0))
-            q = np.copysign(1.0, z) / (np.abs(z) + np.hypot(np.ldexp(1.0, d), z))
-            cs = 1.0 / np.sqrt(1.0 + np.square(np.ldexp(q, d)))
-            big = cs * q * np.where(active, np.where(mirror, -1.0, 1.0), 0.0)
-            small = np.ldexp(big, 2 * d)
-            cs, sn, s_up, s_down = (f[:, None] for f in (
-                np.where(active, cs, 1.0), np.ldexp(big, d),
-                np.where(mirror, big, small), np.where(mirror, small, big)))
-            top, bottom = cs * top - s_up * bottom, s_down * top + cs * bottom
-            v_top, v_bottom = cs * v_top - sn * v_bottom, sn * v_top + cs * v_bottom
+            top, bottom, v_top, v_bottom = _rotate(
+                top, bottom, v_top, v_bottom, squares[:h], squares[h:][::-1], c,
+                e[h:][::-1] - e[:h], active)
         W, V, e = (np.concatenate((t[:1], b[:1], t[1:], b[:0:-1])) for t, b in (
             (top, bottom), (v_top, v_bottom), (e[:h], e[h:][::-1])))
     return W, V, e, rotated
 
 
-def _jacobi_sweeps(X: np.ndarray, max_sweeps: int, pivot=None):
-    """Rotate column pairs of X until they are orthogonal.
+def _jacobi_sweeps(X: np.ndarray, max_sweeps: int):
+    """Rotate column pairs of X until they are orthogonal; returns (W, e, V)
+    with X @ V = W * 2^e (column k of W times 2^e[k]) and V orthogonal.
 
-    Returns (W, e, V) with X @ V = W * 2^e (column k of W times 2^e[k]) and
-    V orthogonal.  Each column is carried as a mantissa W[:, k] and its own
-    power of two.  Every sweep starts by rescaling each mantissa so that its
-    largest entry lies in [0.5, 1), so the Gram entries of a column far
-    below the largest one, or cancelled far below its own starting scale by
-    the previous sweep, neither underflow nor lose digits.  Power-of-two
-    scaling is exact and the rotation angles depend only on the true
-    columns, so wherever unscaled sweeps would stay clear of overflow and
-    underflow the rotations are bitwise theirs.
-
-    The pair schedule is fixed, so the result is deterministic.  With
-    pivot None a sweep runs the rounds of _round_robin and ends with all
-    columns mutually orthogonal.  From _BATCH_MIN_WIDTH columns on, each
-    round is rotated at once (_batched_sweep); below it, where a round's
-    fixed numpy cost outweighs its few rotations, pair by pair.  With pivot
-    k a sweep visits only the pairs that contain k, one at a time, p - 1
-    rotations, and ends with column k orthogonal to every other column:
-    row k of (X V)^T (X V) is then zero off the diagonal, so V[:, k] is an
-    exact right singular vector of X with singular value 2^e[k] |W[:, k]|
-    and left vector W[:, k] / |W[:, k]| (Demmel and Veselic 1992).
+    Every sweep first rescales each column's mantissa so that its largest
+    entry lies in [0.5, 1), so the Gram entries of a column far below the
+    largest one, or cancelled far below its own starting scale, neither
+    underflow nor lose digits; the scaling is exact and the angles depend
+    only on the true columns, so wherever unscaled sweeps stay clear of
+    overflow and underflow the rotations are bitwise theirs.  A sweep runs
+    the rounds of _round_robin, each at once (_batched_sweep) from
+    _BATCH_MIN_WIDTH columns on, and pair by pair below, where a round's
+    fixed numpy cost outweighs its few rotations.
     """
     p = X.shape[1]
-    batched = pivot is None and p >= _BATCH_MIN_WIDTH
-    if pivot is not None:
-        pairs = [(pivot, j) for j in range(p) if j != pivot]
-    elif not batched:
+    batched = p >= _BATCH_MIN_WIDTH
+    if not batched:
         pairs = [pair for pairs in _round_robin(p) for pair in pairs]
     # row k is column k, so every gather and update is contiguous; the
     # batched sweep pads an odd count with a zero row, which no pair rotates
@@ -242,8 +221,55 @@ def _jacobi_sweeps(X: np.ndarray, max_sweeps: int, pivot=None):
         if not rotated:
             return W[:p].T, e[:p], V[:p].T
     raise ConvergenceFailure(
-        f"one-sided Jacobi did not converge in {max_sweeps} sweeps"
-    )
+        f"one-sided Jacobi did not converge in {max_sweeps} sweeps")
+
+
+def _pivot_sweeps(X: np.ndarray, pivot: int, max_sweeps: int):
+    """One exact singular triplet of each matrix of a stack: _jacobi_sweeps'
+    sweeps over the pairs (pivot, j) alone, until the pivot column is
+    orthogonal to every other, so V[:, pivot] is an exact right singular
+    vector, W[:, pivot] scaled by 2^e its value times its left vector (Demmel
+    and Veselic 1992).  The matrices move in lockstep: a sweep
+    starts with one check of all pivot cosines, in the per-pair check's
+    arithmetic, which ends a matrix where the sweep would rotate nothing;
+    each pair step rotates the pair in every matrix not yet ended.  Each
+    matrix gets the bits it gets alone.  Once all are solved, yields (sigma,
+    u, y = V[:, pivot]) per matrix in order, raising ConvergenceFailure on
+    reaching one not ended within max_sweeps sweeps.
+    """
+    W = np.ascontiguousarray(np.swapaxes(X, 1, 2))
+    count, p, _ = W.shape
+    V = np.tile(np.eye(p), (count, 1, 1))
+    e = np.zeros((count, p), dtype=int)
+    live = np.ones(count, dtype=bool)
+    for _ in range(max_sweeps):
+        _, exponents = np.frexp(np.max(np.abs(W), axis=2))
+        W = np.ldexp(W, -exponents[..., None])
+        e += exponents
+        squares = np.add.reduce(W * W, axis=2)
+        c = np.add.reduce(W[:, pivot, None] * W, axis=2)
+        norms = np.sqrt(squares)
+        active = np.abs(c) > JACOBI_TOL * norms[:, pivot, None] * norms
+        active[:, pivot] = False
+        live &= active.any(axis=1)
+        if not live.any():
+            break
+        for j in (*range(pivot), *range(pivot + 1, p)):
+            # row j is rotated only at its own step, so its square stands
+            wk, wj, b = W[:, pivot], W[:, j], squares[:, j]
+            a, c = np.add.reduce(wk * wk, axis=1), np.add.reduce(wk * wj, axis=1)
+            active = live & (np.abs(c) > JACOBI_TOL * np.sqrt(a) * np.sqrt(b))
+            if not active.any():
+                continue
+            W[:, pivot], W[:, j], V[:, pivot], V[:, j] = _rotate(
+                wk, wj, V[:, pivot], V[:, j], a, b, c, e[:, j] - e[:, pivot], active)
+    for r in range(count):
+        if live[r]:
+            raise ConvergenceFailure(
+                f"one-sided Jacobi did not converge in {max_sweeps} sweeps")
+        w = W[r, pivot]
+        norm = math.sqrt(float(w @ w))  # a zero column's zero u is refused later
+        yield math.ldexp(norm, int(e[r, pivot])), (w / norm if norm else w), V[r, pivot]
 
 
 def _preconditioning_qr(A: np.ndarray, pivot: bool):
@@ -308,14 +334,10 @@ def svd(x, max_sweeps: int = JACOBI_SWEEP_LIMIT) -> Svd:
     p x p lower triangle L = R2^T to L V1 = W 2^e, so V = P Q2 V1 is
     orthonormal by construction and U = Pi^T Q W / |W|, a column whose
     singular value is exactly 0 staying zero.  L's columns are nearly
-    orthogonal and graded from the start, so a sweep budget of
-    JACOBI_SWEEP_LIMIT = 30 is ample: a 40x20 matrix with singular values
-    3 * 0.7^j takes 6 sweeps, against 10 without the QRs, and three
-    inputs that never converged without them now do: steep spectra at
-    200x100, fewer nonzero rows than columns (a square matrix with a zero
-    row), and rows graded so far apart that the smallest singular value
-    lies beyond the double range of the largest.  That last family gets
-    S to 1e-13 of S[0], not to relative accuracy in its smallest values.
+    orthogonal and graded from the start, so JACOBI_SWEEP_LIMIT = 30 sweeps
+    are ample, also for steep spectra, zero rows, and rows graded so far
+    apart that the smallest singular value lies beyond the double range of
+    the largest; that family gets S to 1e-13 of S[0] only.
 
     Signs are fixed so that the largest-magnitude entry of each right
     vector is nonnegative (ties break to the lowest index), the paired

@@ -16,6 +16,7 @@ import svdpert as sp
 import svdpert.convergence
 from svdpert import FormulaVariant
 from svdpert.errors import (
+    ConvergenceFailure,
     DimensionMismatch,
     InsufficientSamples,
     TripletMatchAmbiguous,
@@ -341,22 +342,22 @@ def ladder_instance(n, p, k, transpose):
 
 @pytest.fixture
 def solves(monkeypatch):
-    # "svd" for each decomposition the ladder makes, and the pivot for each
-    # targeted Jacobi solve of a rung, in call order
+    # "svd" for each decomposition the ladder makes, and (pivot, rungs) for
+    # each lockstep solve of a ladder's rungs, in call order
     calls = []
     real_svd = svdpert.convergence.svd
-    real_sweeps = svdpert.convergence._jacobi_sweeps
+    real_sweeps = svdpert.convergence._pivot_sweeps
 
     def counted_svd(x, *args, **kwargs):
         calls.append("svd")
         return real_svd(x, *args, **kwargs)
 
-    def counted_sweeps(x, max_sweeps, pivot=None):
-        calls.append(pivot)
-        return real_sweeps(x, max_sweeps, pivot)
+    def counted_sweeps(x, pivot, max_sweeps):
+        calls.append((pivot, len(x)))
+        return real_sweeps(x, pivot, max_sweeps)
 
     monkeypatch.setattr(svdpert.convergence, "svd", counted_svd)
-    monkeypatch.setattr(svdpert.convergence, "_jacobi_sweeps", counted_sweeps)
+    monkeypatch.setattr(svdpert.convergence, "_pivot_sweeps", counted_sweeps)
     return calls
 
 
@@ -367,18 +368,87 @@ def solves(monkeypatch):
      FormulaVariant.U3_OMITTED),
 ])
 def test_ladder_makes_one_decomposition_per_rung(solves, variants):
-    # one SVD of X, then one solve per rung for the tracked column alone,
-    # however many variants share the ladder
+    # one SVD of X, then one lockstep solve of all rungs for the tracked
+    # column alone, however many variants share the ladder
     x, e = make_instance(6, 4, 70)
     reports = sp.convergence_ladders(x, e, variants, k=2, count=6)
     assert [r.variant for r in reports] == list(variants)
-    assert solves == ["svd"] + [1] * 6
+    assert solves == ["svd", (1, 6)]
 
 
 def test_errata_makes_one_decomposition_per_rung(solves):
     code, _, _ = run_cli(["errata"])
     assert code == 0
-    assert solves == ["svd"] + [0] * 8
+    assert solves == ["svd", (0, 8)]
+
+
+# the ladder cases plus a square and a wide input at k > 1
+NEIGHBOUR_CASES = LADDER_CASES + [(5, 5, 3, False), (6, 4, 2, True)]
+
+
+@pytest.mark.parametrize("n, p, k, transpose", NEIGHBOUR_CASES)
+def test_rung_does_not_depend_on_its_neighbours(n, p, k, transpose):
+    # the rungs are solved together, each with arithmetic of its own, and
+    # with factor 0.5 every rung's scaled prediction is expand_triplet's at
+    # its epsilon, so each sample is bitwise the one-rung residuals_at
+    x, e = ladder_instance(n, p, k, transpose)
+    variants = tuple(FormulaVariant)
+    for variant, report in zip(variants, sp.convergence_ladders(x, e, variants, k=k)):
+        for s in report.samples:
+            assert repr(s) == repr(sp.residuals_at(x, e, s.epsilon, k, variant))
+
+
+@pytest.mark.parametrize("n, p, k, transpose", NEIGHBOUR_CASES)
+def test_scaled_predictions_are_expand_triplet_bitwise(monkeypatch, n, p, k, transpose):
+    # every rung's exact triplet is replaced by the unperturbed one, so each
+    # residual measures the ladder's own prediction; with factor 0.5 it must
+    # be bitwise expand_triplet's at the rung's epsilon, order of additions
+    # included
+    x, e = ladder_instance(n, p, k, transpose)
+    (_, Eo, swapped), full, part = svdpert.convergence._decompose(x, e, k)
+    j = k - 1
+
+    def unperturbed(stack, pivot, max_sweeps):
+        for _ in stack:
+            yield float(full.S[j]), full.U[:, j], np.eye(full.V.shape[1])[j]
+
+    monkeypatch.setattr(svdpert.convergence, "_pivot_sweeps", unperturbed)
+    u = full.U[:, j] / float(full.U[:, j] @ part.u1)
+    v = full.V @ np.eye(full.V.shape[1])[j]
+    variants = tuple(FormulaVariant)
+    for variant, report in zip(variants, sp.convergence_ladders(x, e, variants, k=k)):
+        for s in report.samples:
+            pred = sp.expand_triplet(part, s.epsilon * Eo, variant)
+            res_u, res_v = (float(np.sqrt(np.add.reduce(np.square(d))))
+                            for d in (u - pred.u_tilde, v - pred.v_tilde))
+            if swapped:
+                res_u, res_v = res_v, res_u
+            assert (s.res_u, s.res_v) == (res_u, res_v)
+            assert s.res_sigma == abs(float(full.S[j]) - pred.sigma_tilde)
+
+
+@pytest.mark.parametrize("n, p, k, transpose", NEIGHBOUR_CASES)
+def test_rungs_at_a_factor_off_the_powers_of_two_fit_residuals_at(n, p, k, transpose):
+    # with factor 0.3 the scaled prediction moves by ulps from the one
+    # projected at each rung's epsilon; the fitted orders may not move
+    x, e = ladder_instance(n, p, k, transpose)
+    variants = tuple(FormulaVariant)
+    sigma_max = float(sp.svd(x).S[0])
+    reports = sp.convergence_ladders(x, e, variants, k=k, factor=0.3)
+    for variant, report in zip(variants, reports):
+        single = sp.fit_report(variant, [
+            sp.residuals_at(x, e, s.epsilon, k, variant) for s in report.samples
+        ], sigma_max)
+        for metric in ("order_u", "order_v", "order_sigma"):
+            assert abs(getattr(single, metric) - getattr(report, metric)) <= 1e-9
+
+
+def test_ladder_solve_beyond_its_sweep_budget_raises(monkeypatch):
+    # the rung solve reads the budget at call time; svd keeps its own
+    monkeypatch.setattr(svdpert.convergence, "JACOBI_SWEEP_LIMIT", 1)
+    x, e = make_instance(6, 4, 70)
+    with pytest.raises(ConvergenceFailure):
+        sp.convergence_ladders(x, e, tuple(FormulaVariant))
 
 
 @pytest.mark.parametrize("n, p, k, transpose", LADDER_CASES)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import svdpert as sp
 import svdpert.linalg
 from svdpert.errors import ConvergenceFailure, DimensionMismatch, RankDeficient
-from svdpert.linalg import JACOBI_SWEEP_LIMIT, _jacobi_sweeps, _round_robin
+from svdpert.linalg import JACOBI_SWEEP_LIMIT, _pivot_sweeps, _round_robin
 
 
 # --------------------------------------------------------------------- svd
@@ -381,17 +381,20 @@ def test_svd_orthogonal_tiny_column_is_exact():
     assert np.array_equal(f.V, np.eye(2))
 
 
-# ------------------------------------------------- one-column Jacobi solve
+# ------------------------------------------ lockstep one-column Jacobi solve
 
-def warm_pivot_solve(n, p, k, seed):
-    """Pivot-k sweeps on Y V0, V0 the right vectors of Y0 and Y a small
-    perturbation of Y0; returns Y, the sweeps' (W, e, V) and V0."""
+def warm_pivot_solve(n, p, k, seed, rungs=1):
+    """Lockstep pivot-k sweeps on the stack Y_r V0, r < rungs, V0 the right
+    vectors of Y0 and Y_r = Y0 + 2^-r 1e-3 G a small perturbation of it;
+    returns the Y_r, the (sigma, u, y) of each and V0."""
     spec = sp.SpectrumSpec(n=n, p=p, seed=seed, singular_values=tuple(
         3.0 * 0.6**j for j in range(p)))
     y0 = sp.matrix_with_spectrum(spec)
-    y = y0 + 1e-3 * sp.SplitMix64(seed + 1).normal_matrix(n, p)
+    g = sp.SplitMix64(seed + 1).normal_matrix(n, p)
+    ys = [y0 + 2.0**-r * 1e-3 * g for r in range(rungs)]
     v0 = sp.svd(y0).V
-    return y, _jacobi_sweeps(y @ v0, JACOBI_SWEEP_LIMIT, pivot=k - 1), v0
+    stack = np.array([y @ v0 for y in ys])
+    return ys, list(_pivot_sweeps(stack, k - 1, JACOBI_SWEEP_LIMIT)), v0
 
 
 @pytest.mark.parametrize("n, p, k", [
@@ -399,28 +402,42 @@ def warm_pivot_solve(n, p, k, seed):
 ])
 def test_pivot_sweeps_give_the_exact_triplet(n, p, k):
     # column k - 1 orthogonal to the rest makes V0 V[:, k - 1] an exact
-    # right singular vector; LAPACK is a test-only oracle
-    y, (W, e, V), v0 = warm_pivot_solve(n, p, k, 40 + n + p + k)
-    U, S, Vt = np.linalg.svd(y, full_matrices=False)
-    w = W[:, k - 1]
-    norm = math.sqrt(float(w @ w))
-    v = v0 @ V[:, k - 1]
-    sign = math.copysign(1.0, float(v @ Vt[k - 1]))
-    assert np.linalg.norm(v - sign * Vt[k - 1]) <= 1e-13
-    assert np.linalg.norm(w / norm - sign * U[:, k - 1]) <= 1e-13
-    assert abs(math.ldexp(norm, int(e[k - 1])) - S[k - 1]) <= 1e-13 * S[0]
+    # right singular vector, on a 1-rung and on a 4-rung stack; LAPACK is
+    # a test-only oracle
+    for rungs in (1, 4):
+        ys, triplets, v0 = warm_pivot_solve(n, p, k, 40 + n + p + k, rungs)
+        assert len(triplets) == rungs
+        for y, (sigma, u, yk) in zip(ys, triplets):
+            U, S, Vt = np.linalg.svd(y, full_matrices=False)
+            v = v0 @ yk
+            sign = math.copysign(1.0, float(v @ Vt[k - 1]))
+            assert np.linalg.norm(v - sign * Vt[k - 1]) <= 1e-13
+            assert np.linalg.norm(u - sign * U[:, k - 1]) <= 1e-13
+            assert abs(sigma - S[k - 1]) <= 1e-13 * S[0]
 
 
 def test_pivot_sweeps_deterministic_bitwise():
-    y, first, v0 = warm_pivot_solve(9, 5, 2, 31)
-    second = _jacobi_sweeps(y @ v0, JACOBI_SWEEP_LIMIT, pivot=1)
-    for a, b in zip(first, second):
-        assert np.array_equal(a, b)
+    # the same stack twice, and each rung of it alone, give the same bits
+    ys, first, v0 = warm_pivot_solve(9, 5, 2, 31, rungs=4)
+    stack = np.array([y @ v0 for y in ys])
+    second = list(_pivot_sweeps(stack, 1, JACOBI_SWEEP_LIMIT))
+    alone = [next(_pivot_sweeps(stack[r:r + 1], 1, JACOBI_SWEEP_LIMIT))
+             for r in range(len(ys))]
+    for a, b, c in zip(first, second, alone):
+        assert a[0] == b[0] == c[0]
+        for i in (1, 2):
+            assert np.array_equal(a[i], b[i]) and np.array_equal(a[i], c[i])
 
 
 def test_pivot_sweep_limit_raises():
+    for rungs in (1, 3):
+        with pytest.raises(ConvergenceFailure):
+            list(_pivot_sweeps(np.ones((rungs, 3, 3)), 0, 1))
+    # an orthogonal rung before the failing one is still yielded first
+    solve = _pivot_sweeps(np.array([np.eye(3), np.ones((3, 3))]), 0, 1)
+    assert next(solve)[0] == 1.0
     with pytest.raises(ConvergenceFailure):
-        _jacobi_sweeps(np.ones((3, 3)), 1, pivot=0)
+        next(solve)
 
 
 # ---------------------------------------------------------------------- qr
