@@ -33,7 +33,7 @@ from .errors import (
     UnsupportedFormat,
 )
 from .linalg import frobenius_norm
-from .mmio import _fmt, read_matrix, write_matrix, write_report_csv
+from .mmio import _fmt, _fmt_each, read_matrix, write_matrix, write_report_csv
 from .perturbation import (CATALOG, FormulaVariant, expand_matrix,
                            shape_audit_as_printed)
 from .randmat import SpectrumSpec, SplitMix64, matrix_with_spectrum
@@ -50,7 +50,7 @@ EXIT_NOT_DEMONSTRABLE = 5
 
 
 def _fmt_vec(v) -> str:
-    return " ".join(_fmt(x) for x in v)
+    return _fmt_each(v.tolist(), " ")[:-1]
 
 
 # one parser per process: argparse takes about a millisecond to build it,

@@ -29,13 +29,17 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _fmt_each(values: list, end: str) -> str:
+    """Each float of values as _fmt formats it, followed by end: one
+    %-format pass, since "%.17g" formats a float exactly as _fmt does."""
+    return (("%.17g" + end) * len(values)) % tuple(values)
+
+
 def write_matrix(path, a) -> None:
     """Write a dense real matrix: banner, dimensions line, then the entries
     column-major (no comment lines; read_matrix skips any it finds)."""
     m = as_matrix(a, "matrix")
-    values = m.flatten(order="F").tolist()
-    # one %-format pass; "%.17g" formats a float exactly as _fmt does
-    body = ("%.17g\n" * len(values)) % tuple(values)
+    body = _fmt_each(m.flatten(order="F").tolist(), "\n")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"{BANNER}\n{m.shape[0]} {m.shape[1]}\n")
         fh.write(body)
@@ -84,30 +88,41 @@ def read_matrix(path) -> np.ndarray:
     pos += 1
 
     need = rows * cols
-    values = []
-    # float() refuses blank and multi-token lines; split only names the fault
-    for lineno, line in enumerate(lines[pos:pos + need], pos + 1):
-        text = line.strip()
+    block = lines[pos:pos + need]
+    values = None
+    # one float pass over a full block (its length is checked before need
+    # sizes an array); the line walk below names a fault, and reads the
+    # lines only str.strip fixes, as float keeps the separators \x1c-\x1f
+    if len(block) == need and "_" not in raw:
         try:
-            if "_" in text:
-                raise ValueError(text)
-            v = float(text)
-            if math.isfinite(v):
-                values.append(v)
-                continue
-            reason = f"non-finite entry: {text!r}"
+            values = np.fromiter(map(float, block), float, need)
         except ValueError:
-            reason = f"not a real number: {text!r}"
-        if len(text.split()) != 1:
-            reason = "expected exactly one matrix entry"
-        raise ParseError(lineno, reason)
-    if len(values) < need:
-        raise ParseError(pos + len(values) + 1,
-                         f"expected {need} entries, file ends after {len(values)}")
+            pass
+    if values is None or not np.isfinite(values).all():
+        values = []
+        # float() refuses blank and multi-token lines; split names the fault
+        for lineno, line in enumerate(block, pos + 1):
+            text = line.strip()
+            try:
+                if "_" in text:
+                    raise ValueError(text)
+                v = float(text)
+                if math.isfinite(v):
+                    values.append(v)
+                    continue
+                reason = f"non-finite entry: {text!r}"
+            except ValueError:
+                reason = f"not a real number: {text!r}"
+            if len(text.split()) != 1:
+                reason = "expected exactly one matrix entry"
+            raise ParseError(lineno, reason)
+        if len(values) < need:
+            raise ParseError(pos + len(values) + 1,
+                             f"expected {need} entries, file ends after {len(values)}")
     for extra in range(pos + need, len(lines)):
         if lines[extra].strip():
             raise ParseError(extra + 1, "unexpected content after matrix entries")
-    return np.array(values).reshape((rows, cols), order="F")
+    return np.asarray(values).reshape((rows, cols), order="F")
 
 
 def write_report_csv(path, report) -> None:

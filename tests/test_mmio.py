@@ -4,6 +4,9 @@ Round-trip fidelity is the core contract: 17 significant digits preserve
 every finite double bitwise, including signed zeros and subnormals.
 """
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,8 +14,9 @@ from hypothesis import strategies as st
 
 import svdpert as sp
 from svdpert import FormulaVariant
+from svdpert.cli import _fmt_vec
 from svdpert.errors import ParseError, UnsupportedFormat
-from svdpert.mmio import BANNER
+from svdpert.mmio import BANNER, _fmt, _fmt_each
 
 
 def write_lines(path, lines):
@@ -216,6 +220,156 @@ def test_blank_trailing_lines_tolerated(tmp_path):
         encoding="ascii",
     )
     assert sp.read_matrix(f)[0, 0] == 2.5
+
+
+def per_line_read(path):
+    """The reader as it was before its bulk float pass: every entry line is
+    stripped and converted on its own.  The oracle of the differential test
+    below."""
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
+        raw = fh.read()
+    lines = raw.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise ParseError(1, "empty file")
+    tokens = lines[0].split()
+    if len(tokens) != 5 or tokens[0] != "%%MatrixMarket":
+        raise ParseError(1, "malformed MatrixMarket banner")
+    if [t.lower() for t in tokens[1:]] != ["matrix", "array", "real", "general"]:
+        raise UnsupportedFormat(lines[0])
+    pos = 1
+    while pos < len(lines) and lines[pos].startswith("%"):
+        pos += 1
+    if pos >= len(lines):
+        raise ParseError(len(lines) + 1, "missing dimensions line")
+    dims = lines[pos].split()
+    if len(dims) != 2 or "_" in lines[pos]:
+        raise ParseError(pos + 1, "dimensions line must hold two integers")
+    try:
+        rows, cols = int(dims[0]), int(dims[1])
+    except ValueError:
+        raise ParseError(pos + 1, "dimensions line must hold two integers")
+    if rows < 1 or cols < 1:
+        raise ParseError(pos + 1, f"dimensions must be positive, got {rows} {cols}")
+    pos += 1
+    need = rows * cols
+    values = []
+    for lineno, line in enumerate(lines[pos:pos + need], pos + 1):
+        text = line.strip()
+        try:
+            if "_" in text:
+                raise ValueError(text)
+            v = float(text)
+            if math.isfinite(v):
+                values.append(v)
+                continue
+            reason = f"non-finite entry: {text!r}"
+        except ValueError:
+            reason = f"not a real number: {text!r}"
+        if len(text.split()) != 1:
+            reason = "expected exactly one matrix entry"
+        raise ParseError(lineno, reason)
+    if len(values) < need:
+        raise ParseError(pos + len(values) + 1,
+                         f"expected {need} entries, file ends after {len(values)}")
+    for extra in range(pos + need, len(lines)):
+        if lines[extra].strip():
+            raise ParseError(extra + 1, "unexpected content after matrix entries")
+    return np.array(values).reshape((rows, cols), order="F")
+
+
+# float() strips the first five and keeps \x1c-\x1f, which str.strip drops
+PADDING = "\t \r\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
+@st.composite
+def mutated_matrix_files(draw):
+    """A valid dense file, then up to four faults or harmless variations."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    entries = [f"{x:.17g}" for x in draw(st.lists(
+        st.floats(allow_nan=False, allow_infinity=False),
+        min_size=rows * cols, max_size=rows * cols))]
+    comments = ["% made by tests"] * draw(st.integers(0, 1))
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["blank", "two", "underscore", "comment",
+                                     "nonfinite", "pad", "short", "trailing"]))
+        i = draw(st.integers(0, len(entries)))
+        e = entries[i] if i < len(entries) else "1"
+        if kind == "blank":
+            entries.insert(i, draw(st.sampled_from(["", " ", "\x1c"])))
+        elif kind == "two":
+            entries[i:i + 1] = [f"{e} {e}"]
+        elif kind == "underscore":
+            j = draw(st.integers(0, len(e)))
+            entries[i:i + 1] = [e[:j] + "_" + e[j:]]
+        elif kind == "comment":
+            comments.append("% a_b")
+        elif kind == "nonfinite":
+            entries[i:i + 1] = [draw(st.sampled_from(
+                ["nan", "-nan", "inf", "-inf", "Infinity", "1e999", "-1e999"]))]
+        elif kind == "pad":
+            pad = st.text(PADDING, max_size=3)
+            entries[i:i + 1] = [draw(pad) + e + draw(pad)]
+        elif kind == "short":
+            del entries[i:]
+        else:
+            entries.append(draw(st.sampled_from(["x", "1", "", "  ", "\x1f"])))
+    lines = [BANNER, *comments, f"{rows} {cols}", *entries]
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+def read_outcome(read, path):
+    try:
+        a = read(path)
+    except ParseError as exc:
+        return "ParseError", exc.line, exc.reason
+    return a.shape, a.dtype, a.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_matrix_files())
+@example(f"{BANNER}\n3 1\n 2.5\t\n+.5\x1c\n\x1f-1 \n")
+@example(f"{BANNER}\n% a_b\n1 2\n1\n2\n")
+@example(f"{BANNER}\n2 1\n1_5\n1e999\n")
+@example(f"{BANNER}\n2 1\nnan\n\n")
+@example(f"{BANNER}\n2 1\n1\n2\nx\n")
+def test_read_matches_per_line_reader(tmp_path_factory, text):
+    # values bitwise, or the same error line and reason
+    f = tmp_path_factory.mktemp("mm") / "fuzz.mtx"
+    f.write_bytes(text.encode("ascii"))
+    assert read_outcome(sp.read_matrix, f) == read_outcome(per_line_read, f)
+
+
+def test_oversized_header_fails_before_allocating(tmp_path):
+    # the entry count is checked against the file before any array is sized
+    # from the header
+    f = tmp_path / "huge.mtx"
+    for dims, need in [("100000000 100000000", 10**16), ("4000 4000", 16 * 10**6)]:
+        write_lines(f, [BANNER, dims, "1", "2", "3"])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as exc:
+                sp.read_matrix(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (exc.value.line, exc.value.reason) == (
+            6, f"expected {need} entries, file ends after 3")
+        assert peak < 2**20
+
+
+@pytest.mark.parametrize("v", [
+    np.array([-0.0, 5e-324, 1e300, -1e300, 0.1]),
+    np.array([]),
+    np.array([0.1]),
+    np.arange(12.0)[::3] / 7,
+    np.arange(12.0).reshape(3, 4)[:, 1] / 3,
+])
+def test_bulk_formatter_matches_fmt(v):
+    assert _fmt_vec(v) == " ".join(_fmt(x) for x in v)
+    for end in (" ", "\n"):
+        assert _fmt_each(v.tolist(), end) == "".join(_fmt(x) + end for x in v)
 
 
 # -------------------------------------------------------------- report csv
