@@ -32,6 +32,8 @@ QR_RANK_TOL = 1e-13
 # disjoint pairs at once; below it they rotate pair by pair, where a
 # round's fixed numpy cost outweighs its few rotations
 _BATCH_MIN_WIDTH = 10
+# Householder QR factors, and applies, its reflectors this many at a time
+_PANEL = 16
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -68,7 +70,7 @@ class Svd:
 
 def _exponent(A: np.ndarray) -> int:
     """The exponent e with max |A| / 2^e in [0.5, 1) (0 when A = 0)."""
-    return math.frexp(float(np.max(np.abs(A))))[1]
+    return math.frexp(float(np.abs(A).max()))[1]
 
 
 def frobenius_norm(a) -> float:
@@ -158,6 +160,18 @@ def _rotate(x, y, vx, vy, a, b, c, d, active):
     return cs * x - s_up * y, s_down * x + cs * y, cs * vx - sn * vy, sn * vx + cs * vy
 
 
+def _settled(W) -> bool:
+    """Whether no round of _batched_sweep would rotate a pair of rows of W,
+    in the rounds' arithmetic, under either order of their threshold product."""
+    norms = np.sqrt(np.add.reduce(W * W, axis=1))
+    bound = JACOBI_TOL * norms[:, None] * norms
+    bound = np.minimum(bound, bound.T)
+    np.fill_diagonal(bound, np.inf)
+    step = max(1, (1 << 16) // W.size)
+    return not any((np.abs(np.add.reduce(W[i:i + step, None] * W[i:], axis=2))
+                    > bound[i:i + step, i:]).any() for i in range(0, len(W), step))
+
+
 def _batched_sweep(W, V, e):
     """One sweep of _round_robin's rounds, each one Gram step and one
     _rotate of its disjoint pairs; returns (W, V, e, rotated).  The rows
@@ -166,6 +180,8 @@ def _batched_sweep(W, V, e):
     second half reversed, and turning the ring is one concatenation per
     array; after the m - 1 rounds of a sweep the rows are back in order.
     """
+    if _settled(W):
+        return W, V, e, False
     h = len(e) // 2
     rotated = False
     for _ in range(2 * h - 1):
@@ -268,7 +284,8 @@ def _pivot_sweeps(X: np.ndarray, pivot: int, max_sweeps: int):
             raise ConvergenceFailure(
                 f"one-sided Jacobi did not converge in {max_sweeps} sweeps")
         w = W[r, pivot]
-        norm = math.sqrt(float(w @ w))  # a zero column's zero u is refused later
+        # not w @ w, whose bits follow w's alignment; a zero u is refused later
+        norm = math.sqrt(float(np.add.reduce(w * w)))
         yield math.ldexp(norm, int(e[r, pivot])), (w / norm if norm else w), V[r, pivot]
 
 
@@ -279,46 +296,62 @@ def _preconditioning_qr(A: np.ndarray, pivot: bool):
     _reflect applies Q = H_0 ... H_{m-1} [I_m; 0].
 
     The pivot is the largest column norm of the trailing block, ties to
-    the lowest index.  Column norms and reflector norms are taken in
-    power-of-two-scaled form, as frobenius_norm takes its norm, so
-    columns graded to 1e+-300 neither overflow nor underflow.  A column
-    whose part below the diagonal is already zero gets no reflector, so a
-    diagonal matrix is its own R.
+    the lowest index.  Column and reflector norms are taken in
+    power-of-two-scaled form, as frobenius_norm takes its norm, so columns
+    graded to 1e+-300 neither overflow nor underflow.  A column already
+    zero below the diagonal gets no reflector, so a diagonal matrix is its
+    own R.  Without pivoting, which reads each updated trailing norm, the
+    reflectors of a panel of _PANEL columns update the rest at once.
     """
-    R = np.array(A, dtype=float)
-    n, m = R.shape
-    perm = np.arange(m)
-    reflectors = []
-    for k in range(m):
-        if pivot and k < m - 1:
-            T = R[k:, k:]
-            peaks = np.max(np.abs(T), axis=0)
-            _, e = np.frexp(peaks)
-            squares = np.sum(np.square(np.ldexp(T, -e)), axis=0)
-            norms = np.ldexp(np.sqrt(squares), e - e[np.argmax(peaks)])
-            j = k + int(np.argmax(norms))
-            if j != k:
-                R[:, [k, j]] = R[:, [j, k]]
-                perm[[k, j]] = perm[[j, k]]
-        x = R[k:, k]
-        if not x[1:].any():
-            continue
-        e = _exponent(x)
-        v = np.ldexp(x, -e)
-        alpha = -math.copysign(math.sqrt(float(v @ v)), v[0])
-        v[0] -= alpha
-        beta = 2.0 / float(v @ v)
-        R[k:, k + 1:] -= np.outer(v, beta * (v @ R[k:, k + 1:]))
-        R[k, k] = math.ldexp(alpha, e)
-        R[k + 1:, k] = 0.0
-        reflectors.append((k, v, beta))
-    return R[:m], perm, reflectors
+    Rt = np.array(A.T, dtype=float, order="C")  # a column is a contiguous row
+    m, n = Rt.shape
+    perm, reflectors = np.arange(m), []
+    width = m if pivot else _PANEL
+    for start in range(0, m, width):
+        end = min(start + width, m)
+        for k in range(start, end):
+            if pivot and k < m - 1:
+                C = Rt[k:, k:]
+                peaks = np.max(np.abs(C), axis=1)
+                _, e = np.frexp(peaks)
+                roots = np.sqrt(np.sum(np.square(np.ldexp(C, -e[:, None])), axis=1))
+                j = k + int(np.argmax(np.ldexp(roots, e - e[peaks.argmax()])))
+                if j != k:
+                    Rt[[k, j]] = Rt[[j, k]]
+                    perm[[k, j]] = perm[[j, k]]
+            x = Rt[k, k:]
+            if not np.count_nonzero(x[1:]):
+                continue
+            e = _exponent(x)
+            v = np.ldexp(x, -e)
+            alpha = -math.copysign(math.sqrt(float(v @ v)), v[0])
+            v[0] -= alpha
+            beta = -1.0 / (alpha * v[0])  # 2 / (v @ v), as v @ v = -2 alpha v[0]
+            Rt[k + 1:end, k:] -= (beta * (Rt[k + 1:end, k:] @ v))[:, None] * v
+            Rt[k, k] = math.ldexp(alpha, e)
+            Rt[k, k + 1:] = 0.0
+            reflectors.append((k, v, beta))
+        if end < m:  # the panel's Q^T, its reflectors last first, on the rest
+            _reflect([r for r in reflectors[::-1] if r[0] >= start], Rt[end:].T)
+    return Rt[:, :m].T, perm, reflectors
 
 
 def _reflect(reflectors, B: np.ndarray) -> np.ndarray:
-    """H_0 ... H_{m-1} B for _preconditioning_qr's reflectors, in place."""
-    for k, v, beta in reversed(reflectors):
-        B[k:] -= np.outer(v, beta * (v @ B[k:]))
+    """H_a ... H_b B, in place, for a list of _preconditioning_qr's
+    reflectors (k, v, beta) in any order.  Each _PANEL of them is applied
+    as I - Y^T T Y, row i of Y the i-th v (the compact WY form of
+    Schreiber and Van Loan 1989), T built as LAPACK's dlarft builds it."""
+    for i in reversed(range(0, len(reflectors), _PANEL)):
+        chunk = reflectors[i:i + _PANEL]
+        start = min(k for k, _, _ in chunk)
+        Y = np.zeros((len(chunk), len(B) - start))
+        for j, (k, v, _) in enumerate(chunk):
+            Y[j, k - start:] = v
+        T = np.diag([beta for _, _, beta in chunk])
+        G = Y @ Y.T
+        for j in range(1, len(chunk)):
+            T[:j, j] = -T[j, j] * (T[:j, :j] @ G[:j, j])
+        B[start:] -= Y.T @ (T @ (Y @ B[start:]))
     return B
 
 
@@ -373,58 +406,25 @@ def svd(x, max_sweeps: int = JACOBI_SWEEP_LIMIT) -> Svd:
     return Svd(U=U, S=S, V=V)
 
 
-def _householder_qr(A: np.ndarray):
-    """Householder QR of an n x m matrix with n >= m; returns the thin
-    n x m Q and the n x m R with R[k, k] possibly of either sign.  Does not
-    reject rank deficiency.
-
-    Q = H_0 ... H_{m-1} [I_m; 0] is accumulated backwards from the stored
-    reflectors (LAPACK's dorgqr order), so no n x n matrix is formed.
-    """
-    n, m = A.shape
-    R = A.astype(float, copy=True)
-    reflectors = []
-    for k in range(m):
-        x = R[k:, k]
-        nx = math.sqrt(float(x @ x))
-        if nx == 0.0:
-            continue
-        alpha = -math.copysign(nx, x[0])
-        v = x.copy()
-        v[0] -= alpha
-        beta = 2.0 / float(v @ v)
-        R[k:, k:] -= np.outer(v, beta * (v @ R[k:, k:]))
-        R[k, k] = alpha
-        R[k + 1:, k] = 0.0
-        reflectors.append((k, v, beta))
-    Q = np.eye(n, m)
-    for k, v, beta in reversed(reflectors):
-        Q[k:, k:] -= np.outer(v, beta * (v @ Q[k:, k:]))
-    return Q, R
-
-
 def qr_orthonormal(a) -> np.ndarray:
-    """Orthonormal basis of the column span, via Householder QR with the
-    diagonal of R made nonnegative (so a matrix that already has orthonormal
-    columns is reproduced up to roundoff).
+    """Orthonormal basis of the column span: the Q of _preconditioning_qr
+    without pivoting, with the diagonal of R made nonnegative (so a matrix
+    that already has orthonormal columns is reproduced up to roundoff).
 
-    Raises RankDeficient when any |R[k, k]| falls at or below
-    QR_RANK_TOL times the Frobenius norm of the input.  The factorization
-    runs on A scaled by a power of two into max |A| in [0.5, 1), so the
-    reflector norms cannot overflow or underflow and Q is bitwise the same
-    for every power-of-two multiple of A.
+    Raises RankDeficient when any |R[k, k]| falls at or below QR_RANK_TOL
+    times the Frobenius norm of the input.  The factorization runs on A
+    scaled by a power of two into max |A| in [0.5, 1), so Q is bitwise the
+    same for every power-of-two multiple of A.
     """
     A = as_matrix(a, "A")
     n, m = A.shape
     if n < m:
         raise DimensionMismatch(f"need rows >= cols, got {A.shape}")
     A = np.ldexp(A, -_exponent(A))
-    Q, R = _householder_qr(A)
-    scale = frobenius_norm(A)
-    diag = np.diag(R)[:m]
-    if np.any(np.abs(diag) <= QR_RANK_TOL * scale):
+    R, _, reflectors = _preconditioning_qr(A, pivot=False)
+    diag = np.diag(R)
+    if np.any(np.abs(diag) <= QR_RANK_TOL * frobenius_norm(A)):
         raise RankDeficient(
             f"column span has numerical rank below {m} "
-            f"(min |R_kk| = {float(np.min(np.abs(diag))):.3e})"
-        )
-    return Q * np.sign(diag)
+            f"(min |R_kk| = {float(np.min(np.abs(diag))):.3e})")
+    return _reflect(reflectors, np.eye(n, m)) * np.sign(diag)

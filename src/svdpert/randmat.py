@@ -91,9 +91,9 @@ class SplitMix64:
         pairs = (need - len(spare) + 1) // 2
         # word >> 11 < 2^53, so the conversion and the + 1 are exact
         w = (self._words(2 * pairs) >> np.uint64(11)).astype(float)
-        u1 = (w[0::2] + 1.0) / _TWO53
+        u1 = ((w[0::2] + 1.0) / _TWO53).tolist()
         r = np.sqrt(-2.0 * np.fromiter(map(math.log, u1), float, pairs))
-        theta = 2.0 * math.pi * (w[1::2] / _TWO53)
+        theta = (2.0 * math.pi * (w[1::2] / _TWO53)).tolist()
         vals = np.empty(len(spare) + 2 * pairs)
         vals[:len(spare)] = spare
         vals[len(spare)::2] = r * np.fromiter(map(math.cos, theta), float, pairs)

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 import svdpert as sp
 import svdpert.linalg
 from svdpert.errors import ConvergenceFailure, DimensionMismatch, RankDeficient
-from svdpert.linalg import JACOBI_SWEEP_LIMIT, _pivot_sweeps, _round_robin
+from svdpert.linalg import (
+    JACOBI_SWEEP_LIMIT, _pivot_sweeps, _preconditioning_qr, _reflect, _round_robin)
 
 
 # --------------------------------------------------------------------- svd
@@ -374,6 +375,30 @@ def test_each_sweep_path_is_deterministic_bitwise(monkeypatch, width, x):
     assert np.array_equal(f1.V, f2.V)
 
 
+@pytest.mark.parametrize("x", [
+    SWEEP_INPUTS[0], SWEEP_INPUTS[2], sp.SplitMix64(5).normal_matrix(12, 25),
+    sp.matrix_with_spectrum(sp.SpectrumSpec(
+        n=60, p=33, seed=2, singular_values=tuple(3.0 * 0.7**j for j in range(33)))),
+])
+def test_settled_sweep_keeps_the_bytes_of_sweeping_to_the_end(monkeypatch, x):
+    # a batched sweep that would rotate nothing is skipped; sweeping it to
+    # the end instead rotates nothing, so every byte is the same
+    settled = []
+    check = svdpert.linalg._settled
+
+    def recorded(W):
+        settled.append(check(W))
+        return settled[-1]
+
+    monkeypatch.setattr(svdpert.linalg, "_settled", recorded)
+    skipped = sp.svd(x)
+    assert settled[-1] and not any(settled[:-1])
+    monkeypatch.setattr(svdpert.linalg, "_settled", lambda W: False)
+    swept = sp.svd(x)
+    for a, b in ((skipped.U, swept.U), (skipped.S, swept.S), (skipped.V, swept.V)):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_svd_orthogonal_tiny_column_is_exact():
     f = sp.svd(np.diag([1.0, 1e-160]))
     assert np.array_equal(f.S, np.array([1.0, 1e-160]))
@@ -416,17 +441,28 @@ def test_pivot_sweeps_give_the_exact_triplet(n, p, k):
             assert abs(sigma - S[k - 1]) <= 1e-13 * S[0]
 
 
-def test_pivot_sweeps_deterministic_bitwise():
-    # the same stack twice, and each rung of it alone, give the same bits
-    ys, first, v0 = warm_pivot_solve(9, 5, 2, 31, rungs=4)
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([(5, 5), (9, 5), (7, 7), (12, 6), (6, 3)]),
+       st.integers(min_value=0, max_value=2**32))
+@example(shape=(9, 5), seed=31)
+@example(shape=(5, 5), seed=1)
+@example(shape=(7, 7), seed=0)
+def test_pivot_sweeps_deterministic_bitwise(shape, seed):
+    # for every pivot, the same stack twice, and each rung of it alone, give
+    # the same bits: a rung's arithmetic must not follow its place in the
+    # stack's memory, as a BLAS dot's does on some kernels
+    n, p = shape
+    ys, _, v0 = warm_pivot_solve(n, p, 1, seed, rungs=4)
     stack = np.array([y @ v0 for y in ys])
-    second = list(_pivot_sweeps(stack, 1, JACOBI_SWEEP_LIMIT))
-    alone = [next(_pivot_sweeps(stack[r:r + 1], 1, JACOBI_SWEEP_LIMIT))
-             for r in range(len(ys))]
-    for a, b, c in zip(first, second, alone):
-        assert a[0] == b[0] == c[0]
-        for i in (1, 2):
-            assert np.array_equal(a[i], b[i]) and np.array_equal(a[i], c[i])
+    for k in range(p):
+        first, second = (list(_pivot_sweeps(stack, k, JACOBI_SWEEP_LIMIT))
+                         for _ in range(2))
+        alone = [next(_pivot_sweeps(stack[r:r + 1], k, JACOBI_SWEEP_LIMIT))
+                 for r in range(len(ys))]
+        for a, b, c in zip(first, second, alone):
+            assert a[0] == b[0] == c[0]
+            for i in (1, 2):
+                assert np.array_equal(a[i], b[i]) and np.array_equal(a[i], c[i])
 
 
 def test_pivot_sweep_limit_raises():
@@ -462,7 +498,11 @@ def test_qr_orthogonality_seeded():
     assert sp.frobenius_norm(q.T @ q - np.eye(6)) <= 1e-13
 
 
-@pytest.mark.parametrize("shape", [(300, 150), (600, 4), (1, 1)])
+@pytest.mark.parametrize("shape", [
+    (300, 150), (600, 4), (1, 1),
+    # one panel, one full panel, and one or two columns past a panel
+    (40, 15), (40, 16), (40, 17), (40, 32), (40, 33),
+])
 def test_qr_thin_q_against_lapack(shape):
     a = sp.SplitMix64(31).normal_matrix(*shape)
     q = sp.qr_orthonormal(a)
@@ -488,6 +528,40 @@ def test_qr_rank_deficient_raises():
     a[:, 149] = a[:, 3] - 2.0 * a[:, 70]
     with pytest.raises(RankDeficient):
         sp.qr_orthonormal(a)
+
+
+def test_qr_zero_column_inside_a_panel():
+    # columns 5 (inside the first panel) and 20 (inside the second, after
+    # the first panel's block update) get no reflector and a zero R[k, k],
+    # and the reflectors around the gap still give A = Q R
+    a = sp.SplitMix64(37).normal_matrix(40, 24)
+    a[:, [5, 20]] = 0.0
+    R, perm, reflectors = _preconditioning_qr(a, pivot=False)
+    assert np.array_equal(perm, np.arange(24))
+    assert [k for k, _, _ in reflectors] == [k for k in range(24) if k not in (5, 20)]
+    assert R[5, 5] == R[20, 20] == 0.0
+    qr = _reflect(reflectors, np.vstack([R, np.zeros((16, 24))]))
+    assert np.max(np.abs(qr - a)) <= 1e-14 * sp.frobenius_norm(a)
+    with pytest.raises(RankDeficient, match=r"min \|R_kk\| = 0\.000e\+00"):
+        sp.qr_orthonormal(a)
+
+
+@pytest.mark.parametrize("pivot", [False, True])
+@pytest.mark.parametrize("m", [1, 16, 17])
+def test_reflect_applies_the_reflectors_one_by_one(m, pivot):
+    # _PANEL reflectors at a time in compact WY form, against one at a
+    # time; in order (Q B) and last first (Q^T B, the QR's block update)
+    n = m + 7
+    a = sp.SplitMix64(41 + m).normal_matrix(n, m)
+    _, _, reflectors = _preconditioning_qr(a, pivot=pivot)
+    assert len(reflectors) == m
+    # test-only oracle for an orthonormal B, so 1e-15 is a few ulps
+    b = np.linalg.qr(sp.SplitMix64(43 + m).normal_matrix(n, 5))[0]
+    for ordered in (reflectors, reflectors[::-1]):
+        one_by_one = b.copy()
+        for k, v, beta in reversed(ordered):
+            one_by_one[k:] -= np.outer(v, beta * (v @ one_by_one[k:]))
+        assert np.max(np.abs(_reflect(ordered, b.copy()) - one_by_one)) <= 1e-15
 
 
 def test_qr_wide_raises():
