@@ -17,6 +17,7 @@ entries that neither are nor become subnormal.
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -31,7 +32,7 @@ QR_RANK_TOL = 1e-13
 # From this many columns on, svd's Jacobi sweeps rotate each round of
 # disjoint pairs at once; below it they rotate pair by pair, where a
 # round's fixed numpy cost outweighs its few rotations
-_BATCH_MIN_WIDTH = 10
+_BATCH_MIN_WIDTH = 8
 # Householder QR factors, and applies, its reflectors this many at a time
 _PANEL = 16
 
@@ -87,23 +88,37 @@ def frobenius_norm(a) -> float:
 def _rotation(a: float, b: float, c: float, d: int):
     """Jacobi rotation of the columns x = 2^ei wi and y = 2^ej wj, given
     the mantissa Gram entries a = wi.wi, b = wj.wj, c = wi.wj and
-    d = ej - ei.  Returns (cs, sn, sn * 2^d, sn / 2^d): the rotation
+    d = ej - ei.  Returns (cs, sn * 2^d, sn, sn / 2^d): the rotation
     x' = cs x - sn y, y' = sn x + cs y, and the factors of its mantissa form
     wi' = cs wi - (sn 2^d) wj, wj' = (sn / 2^d) wi + cs wj.  The angle is
     tan = t = sign(zeta) / (|zeta| + hypot(1, zeta)), zeta = (y.y - x.x) /
     (2 x.y), evaluated as q = t / 2^d from z = 2^d zeta with x the
-    larger-scaled column (d <= 0), so that no factor above 1 is formed.
-    """
-    if d > 0:
-        # the mirrored pair: swapping the columns negates the sine
-        cs, sn, s_up, s_down = _rotation(b, a, c, -d)
-        return cs, -sn, -s_down, -s_up
+    larger-scaled column (d <= 0), so that no factor above 1 is formed; a
+    pair with d > 0 is mirrored, which negates the sine."""
+    mirror = d > 0
+    if mirror:
+        a, b, d = b, a, -d
     z = (math.ldexp(b, 2 * d) - a) / (2.0 * c)
     q = math.copysign(1.0, z) / (abs(z) + math.hypot(math.ldexp(1.0, d), z))
     t = math.ldexp(q, d)
     cs = 1.0 / math.sqrt(1.0 + t * t)
-    s_down = cs * q
-    return cs, cs * t, math.ldexp(s_down, 2 * d), s_down
+    big = cs * q
+    sn, small = cs * t, math.ldexp(big, 2 * d)
+    if mirror:
+        return cs, -big, -sn, -small
+    return cs, small, sn, big
+
+
+def _rotations(a, b, c, d, active) -> np.ndarray:
+    """_rotation of each pair i with Gram entries a[i], b[i], c[i] and
+    exponent difference d[i], evaluated on Python floats where active[i]
+    and the identity elsewhere, as an array F of shape (4, len(a), 1): the
+    factors F[k] broadcast against a stack of rows."""
+    factors = map(lambda a, b, c, d, on: _rotation(a, b, c, d) if on else
+                  (1.0, 0.0, 0.0, 0.0), a.tolist(), b.tolist(), c.tolist(),
+                  d.tolist(), active.tolist())
+    F = np.fromiter(chain.from_iterable(factors), float, 4 * len(a))
+    return F.reshape(-1, 4).T[..., None]
 
 
 def _round_robin(p: int) -> list:
@@ -132,32 +147,10 @@ def _rotate_pairs(W, V, exps, pairs) -> bool:
         if abs(c) <= JACOBI_TOL * math.sqrt(a) * math.sqrt(b):
             continue
         rotated = True
-        cs, sn, s_up, s_down = _rotation(a, b, c, exps[j] - exps[i])
+        cs, s_up, sn, s_down = _rotation(a, b, c, exps[j] - exps[i])
         W[i], W[j] = cs * wi - s_up * wj, s_down * wi + cs * wj
         V[i], V[j] = cs * vi - sn * vj, sn * vi + cs * vj
     return rotated
-
-
-def _rotate(x, y, vx, vy, a, b, c, d, active):
-    """Rotate each pair of rows (x[i], y[i]), mantissas with Gram entries
-    a[i] = x.x, b[i] = y.y, c[i] = x.y and exponent difference d[i], by
-    _rotation's angle, and the rows (vx[i], vy[i]) of V with them; the
-    identity where active[i] is False.  Returns the four rotated arrays.
-    A pair with d > 0 is mirrored, as _rotation mirrors it, so that its
-    first column has the larger exponent."""
-    mirror = d > 0
-    first = np.where(mirror, b, a)
-    second = np.where(mirror, a, b)
-    d = -np.abs(d)
-    z = (np.ldexp(second, 2 * d) - first) / (2.0 * np.where(active, c, 1.0))
-    q = np.copysign(1.0, z) / (np.abs(z) + np.hypot(np.ldexp(1.0, d), z))
-    cs = 1.0 / np.sqrt(1.0 + np.square(np.ldexp(q, d)))
-    big = cs * q * np.where(active, np.where(mirror, -1.0, 1.0), 0.0)
-    small = np.ldexp(big, 2 * d)
-    cs, sn, s_up, s_down = (f[:, None] for f in (
-        np.where(active, cs, 1.0), np.ldexp(big, d),
-        np.where(mirror, big, small), np.where(mirror, small, big)))
-    return cs * x - s_up * y, s_down * x + cs * y, cs * vx - sn * vy, sn * vx + cs * vy
 
 
 def _settled(W) -> bool:
@@ -172,38 +165,42 @@ def _settled(W) -> bool:
                     > bound[i:i + step, i:]).any() for i in range(0, len(W), step))
 
 
-def _batched_sweep(W, V, e):
+def _batched_sweep(WV, e):
     """One sweep of _round_robin's rounds, each one Gram step and one
-    _rotate of its disjoint pairs; returns (W, V, e, rotated).  The rows
-    (columns of the swept matrix, an even count) are kept in the order of
-    the schedule's ring, so a round's pairs are the first half and the
+    rotation of its disjoint pairs; returns (WV, e, rotated).  WV[0] and
+    WV[1] hold the columns of the swept matrix and of V as rows (an even
+    count), so one broadcast rotates both.  The rows are kept in the order
+    of the schedule's ring, so a round's pairs are the first half and the
     second half reversed, and turning the ring is one concatenation per
     array; after the m - 1 rounds of a sweep the rows are back in order.
     """
-    if _settled(W):
-        return W, V, e, False
+    if _settled(WV[0]):
+        return WV, e, False
     h = len(e) // 2
     rotated = False
     for _ in range(2 * h - 1):
+        W = WV[0]
         squares = np.add.reduce(W * W, axis=1)
         norms = np.sqrt(squares)
-        top, bottom = W[:h], W[h:][::-1]
-        v_top, v_bottom = V[:h], V[h:][::-1]
-        c = np.add.reduce(top * bottom, axis=1)
+        c = np.add.reduce(W[:h] * W[h:][::-1], axis=1)
         active = np.abs(c) > JACOBI_TOL * norms[:h] * norms[h:][::-1]
+        top, bottom = WV[:, :h], WV[:, h:][:, ::-1]
         if active.any():
             rotated = True
-            top, bottom, v_top, v_bottom = _rotate(
-                top, bottom, v_top, v_bottom, squares[:h], squares[h:][::-1], c,
-                e[h:][::-1] - e[:h], active)
-        W, V, e = (np.concatenate((t[:1], b[:1], t[1:], b[:0:-1])) for t, b in (
-            (top, bottom), (v_top, v_bottom), (e[:h], e[h:][::-1])))
-    return W, V, e, rotated
+            F = _rotations(squares[:h], squares[h:][::-1], c,
+                           e[h:][::-1] - e[:h], active)
+            # F = (cs, s_up, sn, s_down): F[1:3] and F[3:1:-1] pair with (W, V)
+            top, bottom = F[0] * top - F[1:3] * bottom, F[3:1:-1] * top + F[0] * bottom
+        WV = np.concatenate((top[:, :1], bottom[:, :1], top[:, 1:], bottom[:, :0:-1]),
+                            axis=1)
+        e = np.concatenate((e[:1], e[-1:], e[1:-1]))
+    return WV, e, rotated
 
 
-def _jacobi_sweeps(X: np.ndarray, max_sweeps: int):
-    """Rotate column pairs of X until they are orthogonal; returns (W, e, V)
-    with X @ V = W * 2^e (column k of W times 2^e[k]) and V orthogonal.
+def _jacobi_sweeps(L: np.ndarray, max_sweeps: int):
+    """Rotate column pairs of the p x p matrix L until they are orthogonal;
+    returns (W, e, V) with L @ V = W * 2^e (column k of W times 2^e[k]) and
+    V orthogonal.
 
     Every sweep first rescales each column's mantissa so that its largest
     entry lies in [0.5, 1), so the Gram entries of a column far below the
@@ -215,27 +212,28 @@ def _jacobi_sweeps(X: np.ndarray, max_sweeps: int):
     _BATCH_MIN_WIDTH columns on, and pair by pair below, where a round's
     fixed numpy cost outweighs its few rotations.
     """
-    p = X.shape[1]
+    p = len(L)
     batched = p >= _BATCH_MIN_WIDTH
     if not batched:
         pairs = [pair for pairs in _round_robin(p) for pair in pairs]
-    # row k is column k, so every gather and update is contiguous; the
-    # batched sweep pads an odd count with a zero row, which no pair rotates
+    # row k of WV[0] and WV[1] is column k of W and V; the batched sweep
+    # pads an odd count with a zero row, which no pair rotates
     m = p + p % 2 if batched else p
-    W = np.zeros((m, X.shape[0]))
-    W[:p] = X.T
-    V = np.eye(m, p)
+    WV = np.zeros((2, m, p))
+    WV[0, :p] = L.T
+    WV[1] = np.eye(m, p)
     e = np.zeros(m, dtype=int)
     for _ in range(max_sweeps):
+        W = WV[0]
         _, exponents = np.frexp(np.max(np.abs(W), axis=1))
-        W = np.ldexp(W, -exponents[:, None])
+        np.ldexp(W, -exponents[:, None], out=W)
         e += exponents
         if batched:
-            W, V, e, rotated = _batched_sweep(W, V, e)
+            WV, e, rotated = _batched_sweep(WV, e)
         else:
-            rotated = _rotate_pairs(W, V, e.tolist(), pairs)
+            rotated = _rotate_pairs(WV[0], WV[1], e.tolist(), pairs)
         if not rotated:
-            return W[:p].T, e[:p], V[:p].T
+            return WV[0, :p].T, e[:p], WV[1, :p].T
     raise ConvergenceFailure(
         f"one-sided Jacobi did not converge in {max_sweeps} sweeps")
 
@@ -270,15 +268,17 @@ def _pivot_sweeps(X: np.ndarray, pivot: int, max_sweeps: int):
         live &= active.any(axis=1)
         if not live.any():
             break
+        d = e - e[:, pivot, None]
         for j in (*range(pivot), *range(pivot + 1, p)):
-            # row j is rotated only at its own step, so its square stands
-            wk, wj, b = W[:, pivot], W[:, j], squares[:, j]
+            # row j is rotated only at its own step, so its norm stands
+            wk, wj, vk, vj = W[:, pivot], W[:, j], V[:, pivot], V[:, j]
             a, c = np.add.reduce(wk * wk, axis=1), np.add.reduce(wk * wj, axis=1)
-            active = live & (np.abs(c) > JACOBI_TOL * np.sqrt(a) * np.sqrt(b))
+            active = live & (np.abs(c) > JACOBI_TOL * np.sqrt(a) * norms[:, j])
             if not active.any():
                 continue
-            W[:, pivot], W[:, j], V[:, pivot], V[:, j] = _rotate(
-                wk, wj, V[:, pivot], V[:, j], a, b, c, e[:, j] - e[:, pivot], active)
+            cs, s_up, sn, s_down = _rotations(a, squares[:, j], c, d[:, j], active)
+            W[:, pivot], W[:, j] = cs * wk - s_up * wj, s_down * wk + cs * wj
+            V[:, pivot], V[:, j] = cs * vk - sn * vj, sn * vk + cs * vj
     for r in range(count):
         if live[r]:
             raise ConvergenceFailure(

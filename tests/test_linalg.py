@@ -202,6 +202,10 @@ def test_svd_graded_columns_keep_relative_accuracy(e, seed):
     *(((3, 5), s, slice(-1, None), 1e300) for s in (0, 1, 4)),
     *(((7, 20), s, slice(-1, None), 1e300) for s in (0, 1, 4)),
     *(((5, 9), s, slice(None, None, 2), 1e-200) for s in range(6)),
+    # wide enough for the batched rounds, in either orientation
+    ((12, 24), 0, slice(-1, None), 1e300),
+    ((24, 12), 0, slice(None, None, 2), 1e-200),
+    ((16, 11), 0, slice(5, None), 1e-300),
 ])
 def test_svd_wide_graded_columns_keep_relative_accuracy(shape, seed, columns,
                                                         scale):
@@ -263,24 +267,27 @@ def test_svd_row_graded_input_keeps_orthonormal_factors(seed):
 
 
 @pytest.mark.parametrize("transpose", [False, True])
-@pytest.mark.parametrize("seed", [5, 8])
-def test_svd_row_graded_beyond_double_range(seed, transpose):
+@pytest.mark.parametrize("seed, shape", [(5, (3, 5)), (8, (3, 5)), (0, (10, 14))],
+                         ids=["5", "8", "0-10x14"])
+def test_svd_row_graded_beyond_double_range(seed, shape, transpose):
     # the 3x5 has columns scaled by 2^-997 .. 2^997 and is swept as its
     # transpose, so the sweeps see row grading in both orientations; the
     # smallest singular value (~5e-101) lies more than the double range
     # below the largest (~3e300).  At 340 digits the reference reads
     # sigma_3 of seed 5 as 2.2e-100 against 5.0e-101.  The bound is
     # normwise: relative to itself, sigma_3 is 1.2e-2 (seed 8) to 0.39
-    # (seed 5) off.
-    x = np.ldexp(sp.SplitMix64(seed).normal_matrix(3, 5),
-                 [-332, 997, -664, -997, 332])
+    # (seed 5) off.  The 10x14 tiles the same exponents and is swept in
+    # batched rounds
+    x = np.ldexp(sp.SplitMix64(seed).normal_matrix(*shape),
+                 np.resize([-332, 997, -664, -997, 332], shape[1]))
     if transpose:
         x = x.T
     f = sp.svd(x)
     ref = _exact_singular_values(x, dps=800)
+    r = min(shape)
     assert np.all(np.abs(f.S - ref) <= 1e-13 * ref[0])
-    assert sp.frobenius_norm(f.U.T @ f.U - np.eye(3)) <= 1e-13
-    assert sp.frobenius_norm(f.V.T @ f.V - np.eye(3)) <= 1e-13
+    assert sp.frobenius_norm(f.U.T @ f.U - np.eye(r)) <= 1e-13
+    assert sp.frobenius_norm(f.V.T @ f.V - np.eye(r)) <= 1e-13
 
 
 @pytest.mark.parametrize("shape, zero_rows", [
@@ -463,6 +470,43 @@ def test_pivot_sweeps_deterministic_bitwise(shape, seed):
             assert a[0] == b[0] == c[0]
             for i in (1, 2):
                 assert np.array_equal(a[i], b[i]) and np.array_equal(a[i], c[i])
+
+
+def test_every_rotation_comes_from_the_one_formula(monkeypatch):
+    # svd's batched rounds and the lockstep rung steps both take each angle
+    # from _rotation: recording it keeps every byte, and replacing it by the
+    # identity leaves every pair unturned, so neither solve can converge
+    x = SWEEP_INPUTS[0]
+    ys, _, v0 = warm_pivot_solve(9, 5, 2, 7, rungs=3)
+    stack = np.array([y @ v0 for y in ys])
+
+    def solve_svd():
+        f = sp.svd(x)
+        return [f.U, f.S, f.V]
+
+    def solve_rungs():
+        return [np.asarray(part) for triplet in
+                _pivot_sweeps(stack, 1, JACOBI_SWEEP_LIMIT) for part in triplet]
+
+    rotation = svdpert.linalg._rotation
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return rotation(*args)
+
+    for solve in (solve_svd, solve_rungs):
+        expected = solve()
+        monkeypatch.setattr(svdpert.linalg, "_rotation", recorded)
+        calls.clear()
+        got = solve()
+        assert calls
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+        monkeypatch.setattr(svdpert.linalg, "_rotation",
+                            lambda a, b, c, d: (1.0, 0.0, 0.0, 0.0))
+        with pytest.raises(ConvergenceFailure):
+            solve()
+        monkeypatch.setattr(svdpert.linalg, "_rotation", rotation)
 
 
 def test_pivot_sweep_limit_raises():
