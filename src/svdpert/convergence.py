@@ -204,16 +204,35 @@ def residuals_at(X, E_dir, epsilon: float, k: int = 1,
 def fit_loglog_slope(epsilons, residuals):
     """Ordinary least-squares line of log(residual) against log(epsilon), in
     closed form on the centred logs: returns (slope, r2) = (Sxy / Sxx,
-    Sxy^2 / (Sxx Syy)), r2 clamped to 1 against roundoff.  A flat series
-    fits (0.0, 1.0); equal epsilons raise ValueError."""
-    x = np.log(np.asarray(epsilons, dtype=float))
-    y = np.log(np.asarray(residuals, dtype=float))
-    if np.all(x == x[0]):
+    Sxy^2 / (Sxx Syy)), r2 clamped to 1 against roundoff.  The means and
+    the three sums come from math.fsum, which rounds each exactly, so the
+    fit does not depend on the order of the samples.  A flat series fits
+    (0.0, 1.0).  Raises ValueError for no samples, unequal lengths, an
+    epsilon or residual that is not finite and positive, or equal
+    epsilons."""
+    epsilons, residuals = list(epsilons), list(residuals)
+    if len(epsilons) != len(residuals):
+        raise ValueError(f"got {len(epsilons)} epsilons but "
+                         f"{len(residuals)} residuals")
+    if not epsilons:
+        raise ValueError("need at least one sample")
+    for name, values in (("epsilon", epsilons), ("residual", residuals)):
+        bad = [v for v in values if not 0.0 < v < math.inf]
+        if bad:
+            raise ValueError(f"every {name} must be finite and positive, "
+                             f"got {bad[0]}")
+    x = [math.log(v) for v in epsilons]
+    y = [math.log(v) for v in residuals]
+    if all(v == x[0] for v in x):
         raise ValueError("epsilons must not all be equal")
-    if np.all(y == y[0]):
+    if all(v == y[0] for v in y):
         return 0.0, 1.0
-    x, y = x - x.mean(), y - y.mean()
-    sxx, sxy, syy = float(x @ x), float(x @ y), float(y @ y)
+    x_mean, y_mean = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    x = [v - x_mean for v in x]
+    y = [v - y_mean for v in y]
+    sxx = math.fsum([v * v for v in x])
+    sxy = math.fsum([a * b for a, b in zip(x, y)])
+    syy = math.fsum([v * v for v in y])
     return sxy / sxx, min(1.0, sxy * sxy / (sxx * syy))
 
 

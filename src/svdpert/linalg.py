@@ -30,8 +30,9 @@ JACOBI_SWEEP_LIMIT = 30
 JACOBI_TOL = 1e-14
 QR_RANK_TOL = 1e-13
 # From this many columns on, svd's Jacobi sweeps rotate each round of
-# disjoint pairs at once; below it they rotate pair by pair, where a
-# round's fixed numpy cost outweighs its few rotations
+# disjoint pairs at once; below it they rotate pair by pair on Python
+# floats, where a round's fixed numpy cost outweighs its few rotations.
+# Both give the same bits below it, so it chooses speed only
 _BATCH_MIN_WIDTH = 8
 # Householder QR factors, and applies, its reflectors this many at a time
 _PANEL = 16
@@ -137,19 +138,37 @@ def _round_robin(p: int) -> list:
     return rounds
 
 
-def _rotate_pairs(W, V, exps, pairs) -> bool:
-    """Rotate each pair of rows (columns of the swept matrix) in turn;
-    returns whether any pair was rotated."""
+def _rotate_pairs(W, V, e, pairs) -> bool:
+    """One sweep of the pair path on lists of Python floats, in place: W
+    and V hold the columns of the swept matrix and of V as rows, e the
+    exponents of W's rows.  Each row of W is first rescaled as the batched
+    path rescales it, then each pair is rotated in turn.  The Gram entries
+    are summed in order, as np.add.reduce sums fewer than 8 terms (sum()
+    compensates from Python 3.12 on, math.fsum rounds exactly), so below
+    _BATCH_MIN_WIDTH columns every rotation is bitwise the batched
+    rounds'; returns whether any pair was rotated."""
+    for k, w in enumerate(W):
+        shift = math.frexp(max(map(abs, w)))[1]
+        if shift:
+            W[k] = [math.ldexp(x, -shift) for x in w]
+            e[k] += shift
     rotated = False
     for i, j in pairs:
-        wi, wj, vi, vj = W[i], W[j], V[i], V[j]
-        a, b, c = float(wi @ wi), float(wj @ wj), float(wi @ wj)
+        wi, wj = W[i], W[j]
+        a = b = c = 0.0
+        for x, y in zip(wi, wj):
+            a += x * x
+            b += y * y
+            c += x * y
         if abs(c) <= JACOBI_TOL * math.sqrt(a) * math.sqrt(b):
             continue
         rotated = True
-        cs, s_up, sn, s_down = _rotation(a, b, c, exps[j] - exps[i])
-        W[i], W[j] = cs * wi - s_up * wj, s_down * wi + cs * wj
-        V[i], V[j] = cs * vi - sn * vj, sn * vi + cs * vj
+        cs, s_up, sn, s_down = _rotation(a, b, c, e[j] - e[i])
+        W[i] = [cs * x - s_up * y for x, y in zip(wi, wj)]
+        W[j] = [s_down * x + cs * y for x, y in zip(wi, wj)]
+        vi, vj = V[i], V[j]
+        V[i] = [cs * x - sn * y for x, y in zip(vi, vj)]
+        V[j] = [sn * x + cs * y for x, y in zip(vi, vj)]
     return rotated
 
 
@@ -209,31 +228,33 @@ def _jacobi_sweeps(L: np.ndarray, max_sweeps: int):
     only on the true columns, so wherever unscaled sweeps stay clear of
     overflow and underflow the rotations are bitwise theirs.  A sweep runs
     the rounds of _round_robin, each at once (_batched_sweep) from
-    _BATCH_MIN_WIDTH columns on, and pair by pair below, where a round's
-    fixed numpy cost outweighs its few rotations.
+    _BATCH_MIN_WIDTH columns on, where a round's fixed numpy cost is
+    shared by enough rotations, and pair by pair on Python floats below
+    (_rotate_pairs), with the same bits.
     """
     p = len(L)
-    batched = p >= _BATCH_MIN_WIDTH
-    if not batched:
+    if p < _BATCH_MIN_WIDTH:
+        W, V, e = L.T.tolist(), np.eye(p).tolist(), [0] * p
         pairs = [pair for pairs in _round_robin(p) for pair in pairs]
-    # row k of WV[0] and WV[1] is column k of W and V; the batched sweep
-    # pads an odd count with a zero row, which no pair rotates
-    m = p + p % 2 if batched else p
-    WV = np.zeros((2, m, p))
-    WV[0, :p] = L.T
-    WV[1] = np.eye(m, p)
-    e = np.zeros(m, dtype=int)
-    for _ in range(max_sweeps):
-        W = WV[0]
-        _, exponents = np.frexp(np.max(np.abs(W), axis=1))
-        np.ldexp(W, -exponents[:, None], out=W)
-        e += exponents
-        if batched:
+        for _ in range(max_sweeps):
+            if not _rotate_pairs(W, V, e, pairs):
+                return np.array(W).T, np.array(e), np.array(V).T
+    else:
+        # row k of WV[0] and WV[1] is column k of W and V, an odd count
+        # padded with a zero row, which no pair rotates
+        m = p + p % 2
+        WV = np.zeros((2, m, p))
+        WV[0, :p] = L.T
+        WV[1] = np.eye(m, p)
+        e = np.zeros(m, dtype=int)
+        for _ in range(max_sweeps):
+            W = WV[0]
+            _, exponents = np.frexp(np.max(np.abs(W), axis=1))
+            np.ldexp(W, -exponents[:, None], out=W)
+            e += exponents
             WV, e, rotated = _batched_sweep(WV, e)
-        else:
-            rotated = _rotate_pairs(WV[0], WV[1], e.tolist(), pairs)
-        if not rotated:
-            return WV[0, :p].T, e[:p], WV[1, :p].T
+            if not rotated:
+                return WV[0, :p].T, e[:p], WV[1, :p].T
     raise ConvergenceFailure(
         f"one-sided Jacobi did not converge in {max_sweeps} sweeps")
 

@@ -5,6 +5,9 @@ measurements are validated against the closed-form rotation of a
 symmetric 2x2 perturbation.
 """
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -175,6 +178,40 @@ def test_fit_loglog_slope_flat_ladder(value, length):
 def test_fit_loglog_slope_rejects_equal_epsilons():
     with pytest.raises(ValueError, match="epsilons"):
         sp.fit_loglog_slope([1e-3] * 4, [1e-6, 2e-6, 3e-6, 4e-6])
+
+
+@pytest.mark.parametrize("epsilons, residuals, message", [
+    ([1e-2, 5e-3, 2.5e-3], [1e-4, 0.0, 6e-6], "residual must be finite and positive, got 0.0"),
+    ([1e-2, 5e-3, 2.5e-3], [1e-4, -2e-5, 6e-6], "residual must be finite and positive, got -2e-05"),
+    ([1e-2, 5e-3, 2.5e-3], [1e-4, math.inf, 6e-6], "residual must be finite and positive, got inf"),
+    ([1e-2, 5e-3, 2.5e-3], [1e-4, math.nan, 6e-6], "residual must be finite and positive, got nan"),
+    ([1e-2, 0.0, 2.5e-3], [1e-4, 2e-5, 6e-6], "epsilon must be finite and positive, got 0.0"),
+    ([1e-2, -5e-3, 2.5e-3], [1e-4, 2e-5, 6e-6], "epsilon must be finite and positive, got -0.005"),
+    ([], [], "need at least one sample"),
+    ([1e-2, 5e-3, 2.5e-3], [1e-4, 2e-5], "got 3 epsilons but 2 residuals"),
+], ids=["zero-residual", "negative-residual", "inf-residual", "nan-residual",
+        "zero-epsilon", "negative-epsilon", "no-samples", "unequal-lengths"])
+def test_fit_loglog_slope_rejects_bad_samples(epsilons, residuals, message):
+    # a log of a zero, negative or infinite sample would fit a NaN slope
+    # with r2 = 1
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sp.fit_loglog_slope(epsilons, residuals)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=0.1, max_value=0.9),
+       st.floats(min_value=0.5, max_value=3.0),
+       st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=2, max_size=12),
+       st.permutations(range(12)))
+@example(factor=0.5, order=2.0, wobble=[0.0, 0.3, -0.2, 0.1, 0.5, -0.4, 0.0, 0.2],
+         shuffle=list(range(11, -1, -1)))
+def test_fit_loglog_slope_does_not_depend_on_sample_order(factor, order, wobble,
+                                                          shuffle):
+    eps = [1e-2 * factor**i for i in range(len(wobble))]
+    res = [e**order * (1.0 + 1e-3 * w) for e, w in zip(eps, wobble)]
+    shuffle = [i for i in shuffle if i < len(eps)]
+    shuffled = sp.fit_loglog_slope([eps[i] for i in shuffle], [res[i] for i in shuffle])
+    assert shuffled == sp.fit_loglog_slope(eps, res)
 
 
 def _mp_loglog_fit(epsilons, residuals):

@@ -372,6 +372,40 @@ def test_batched_and_pairwise_sweeps_agree(monkeypatch, x):
     assert np.all(np.abs(runs[0] - runs[1]) <= 1e-14 * runs[0][0])
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=7), st.integers(min_value=0, max_value=8),
+       st.booleans(), st.integers(min_value=0, max_value=2**32),
+       st.sampled_from(["none", "rows", "columns"]),
+       st.lists(st.integers(min_value=-300, max_value=300), min_size=15, max_size=15),
+       st.sets(st.integers(min_value=0, max_value=14), max_size=3))
+@example(p=3, extra=2, wide=False, seed=1, grading="none", exponents=[0] * 15,
+         zero_rows=set())
+@example(p=7, extra=1, wide=True, seed=2, grading="none", exponents=[0] * 15,
+         zero_rows=set())
+@example(p=5, extra=0, wide=False, seed=3, grading="columns",
+         exponents=[-300, 300, 0, -150, 150] + [0] * 10, zero_rows={0})
+def test_sweep_drivers_agree_bitwise_below_batch_width(p, extra, wide, seed,
+                                                       grading, exponents, zero_rows):
+    # below _BATCH_MIN_WIDTH the pair path sums and rotates on Python floats
+    # exactly as the batched rounds do, so the width only chooses speed: a
+    # BLAS dot, math.fsum or a compensated sum() in the pair path fails here
+    x = sp.SplitMix64(seed).normal_matrix(p + extra, p)
+    if grading == "rows":
+        x = np.ldexp(x, np.array(exponents[:p + extra])[:, None])
+    elif grading == "columns":
+        x = np.ldexp(x, np.array(exponents[:p]))
+    x[[r for r in zero_rows if r < p + extra]] = 0.0
+    if wide:
+        x = x.T
+    runs = []
+    with pytest.MonkeyPatch.context() as patch:
+        for width in (2, 8):
+            patch.setattr(svdpert.linalg, "_BATCH_MIN_WIDTH", width)
+            f = sp.svd(x)
+            runs.append([a.tobytes() for a in (f.U, f.S, f.V)])
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("width", [2, 10**9])
 @pytest.mark.parametrize("x", SWEEP_INPUTS)
 def test_each_sweep_path_is_deterministic_bitwise(monkeypatch, width, x):
