@@ -8,14 +8,20 @@ defects of the defective printed form of those expansions degrades the
 accuracy to first order (or cannot even be formed dimensionally).
 """
 
+import types as _types
+
 from .convergence import (
     FLOOR_TOL,
     MATCH_TOL,
+    ORDER_SEPARATION,
+    R2_GATE,
     ConvergenceReport,
+    ErrataRow,
     ResidualSample,
     align_sign,
     convergence_ladder,
     convergence_ladders,
+    errata_rows,
     fit_loglog_slope,
     fit_report,
     residuals_at,
@@ -23,13 +29,16 @@ from .convergence import (
 from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
+    FitUnreliable,
     GapTooSmall,
     IndexOutOfRange,
     InsufficientSamples,
     InvalidDims,
+    NotDemonstrable,
     ParseError,
     RankDeficient,
     SingularSystem,
+    SvdpertError,
     TripletMatchAmbiguous,
     UnsupportedFormat,
     ZeroVector,
@@ -71,57 +80,6 @@ from .randmat import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CATALOG",
-    "ConvergenceFailure",
-    "ConvergenceReport",
-    "CorrectionCoefficients",
-    "Defect",
-    "DimensionMismatch",
-    "FLOOR_TOL",
-    "FormulaVariant",
-    "GAP_TOL",
-    "GapTooSmall",
-    "IndexOutOfRange",
-    "InsufficientSamples",
-    "InvalidDims",
-    "MATCH_TOL",
-    "ParseError",
-    "Projections",
-    "RankDeficient",
-    "ResidualSample",
-    "SingularSystem",
-    "SpectrumSpec",
-    "SplitMix64",
-    "Svd",
-    "SvdPartition",
-    "TripletExpansion",
-    "TripletMatchAmbiguous",
-    "UnsupportedFormat",
-    "ZeroVector",
-    "align_sign",
-    "as_matrix",
-    "compute_projections",
-    "convergence_ladder",
-    "convergence_ladders",
-    "expand_matrix",
-    "expand_triplet",
-    "fit_loglog_slope",
-    "fit_report",
-    "frobenius_norm",
-    "matrix_with_spectrum",
-    "partition_svd",
-    "perturbation_direction",
-    "qr_orthonormal",
-    "read_matrix",
-    "residuals_at",
-    "shape_audit_as_printed",
-    "solve_coupled_system",
-    "svd",
-    "tall_problem",
-    "transpose_dual_expansion",
-    "triplet_gap",
-    "variant_coefficients",
-    "write_matrix",
-    "write_report_csv",
-]
+# every public name imported above, so that each export is named once
+__all__ = sorted(name for name, value in globals().items() if not
+                 name.startswith("_") and not isinstance(value, _types.ModuleType))

@@ -6,10 +6,9 @@ runs a convergence ladder and reports fitted orders, and ``errata`` checks
 all five cataloged defects of the defective printed expansion on an
 auto-generated instance.
 
-Exit codes: 0 success; 1 I/O or computation failure on the given data;
-2 invalid flags or dimensions; 3 spectral gap below tolerance; 4 fit or
-measurement unreliable (r2 < R2_GATE, noise floor, tracking failure);
-5 errata not demonstrable.
+Exit codes: 0 on success; otherwise the exit_code of the svdpert error
+that stopped the run (see svdpert.errors), 1 for any other OSError and 2
+for any other ValueError or an invalid flag.
 
 All numeric output uses 17 significant digits.  Output blocks are
 ``key: value`` lines; vectors are space-separated entries.
@@ -19,34 +18,12 @@ import argparse
 import functools
 import sys
 
-from .convergence import convergence_ladder, convergence_ladders
-from .errors import (
-    ConvergenceFailure,
-    DimensionMismatch,
-    GapTooSmall,
-    IndexOutOfRange,
-    InsufficientSamples,
-    InvalidDims,
-    ParseError,
-    RankDeficient,
-    TripletMatchAmbiguous,
-    UnsupportedFormat,
-)
+from .convergence import convergence_ladder, errata_rows
+from .errors import SvdpertError
 from .linalg import frobenius_norm
 from .mmio import _fmt, _fmt_each, read_matrix, write_matrix, write_report_csv
-from .perturbation import (CATALOG, FormulaVariant, expand_matrix,
-                           shape_audit_as_printed)
-from .randmat import SpectrumSpec, SplitMix64, matrix_with_spectrum
-
-R2_GATE = 0.98
-ORDER_SEPARATION = 0.5
-
-EXIT_OK = 0
-EXIT_IO = 1
-EXIT_USAGE = 2
-EXIT_GAP = 3
-EXIT_UNRELIABLE = 4
-EXIT_NOT_DEMONSTRABLE = 5
+from .perturbation import FormulaVariant, expand_matrix
+from .randmat import SpectrumSpec, matrix_with_spectrum
 
 
 def _fmt_vec(v) -> str:
@@ -119,19 +96,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> None:
     try:
         values = tuple(float(t) for t in args.sv.split(","))
     except ValueError:
-        print(f"error: --sv is not a comma-separated float list: {args.sv!r}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(
+            f"--sv is not a comma-separated float list: {args.sv!r}") from None
     spec = SpectrumSpec(n=args.n, p=args.p, singular_values=values, seed=args.seed)
     write_matrix(args.out, matrix_with_spectrum(spec))
-    return EXIT_OK
 
 
-def _cmd_expand(args) -> int:
+def _cmd_expand(args) -> None:
     X = read_matrix(args.x)
     E = read_matrix(args.e)
     exp = expand_matrix(X, E, args.k, FormulaVariant(args.variant))
@@ -153,10 +128,9 @@ def _cmd_expand(args) -> int:
     print(f"g2: {_fmt_vec(co.g2)}".rstrip())
     print(f"g3_norm: {_fmt(frobenius_norm(co.g3[None]))}")
     print(f"h2: {_fmt_vec(co.h2)}".rstrip())
-    return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> None:
     X = read_matrix(args.x)
     E = read_matrix(args.edir)
     ladder = {f: getattr(args, f) for f in ("eps0", "factor", "count") if f in args}
@@ -169,78 +143,36 @@ def _cmd_verify(args) -> int:
     for metric in ("u", "v", "sigma"):
         print(f"order_{metric}: {_fmt(getattr(report, 'order_' + metric))}")
         print(f"r2_{metric}: {_fmt(getattr(report, 'r2_' + metric))}")
-    if report.min_r2 < R2_GATE:
-        print(
-            f"error: fit unreliable (min r2 {report.min_r2:.4f} < {R2_GATE})",
-            file=sys.stderr,
-        )
-        return EXIT_UNRELIABLE
-    return EXIT_OK
+    if report.refusal is not None:
+        raise report.refusal
 
 
-def _cmd_errata(args) -> int:
-    n, p, seed = args.n, args.p, args.seed
-    # the audit's InvalidDims is the dims check: n >= p >= 2
-    findings = shape_audit_as_printed(n, p)
-    sv = tuple(3.0 * 0.7**j for j in range(p))
-    X = matrix_with_spectrum(SpectrumSpec(n=n, p=p, singular_values=sv, seed=seed))
-    E = SplitMix64((seed + 1) % 2**64).normal_matrix(n, p)
-
-    # one shared ladder for the corrected form and every cataloged variant
-    variants = tuple(dict.fromkeys(
-        (FormulaVariant.CORRECTED, *(d.variant for d in CATALOG if d.variant))
-    ))
-    reports = dict(zip(variants, convergence_ladders(X, E, variants)))
-    corrected = reports[FormulaVariant.CORRECTED]
-
+def _cmd_errata(args) -> None:
+    rows, refusal = errata_rows(args.n, args.p, args.seed)
     print("item,formula,defect,evidence,corrected,defective,separation,status")
-    statuses = []
-    for d in CATALOG:
-        if not d.applies(n, p):
-            evidence, status = f"{d.metric},,,", "not applicable (n=p)"
-        elif d.variant:
-            good = getattr(corrected, d.metric)
-            bad = getattr(reports[d.variant], d.metric)
-            sep = good - bad
-            evidence = f"{d.metric},{_fmt(good)},{_fmt(bad)},{_fmt(sep)}"
-            status = "confirmed" if sep >= ORDER_SEPARATION else "not confirmed"
-        else:
-            expected, printed = d.dims(n, p)
-            evidence = f"shape-audit,{expected},{printed},"
-            status = "confirmed" if d in findings else "not confirmed"
-        statuses.append(status)
-        print(f"{d.item},{d.formula},{d.defect},{evidence},{status}")
-
-    if not all(d.applies(n, p) for d in CATALOG):
-        print(
-            "error: the dropped-complement defect is not demonstrable when "
-            "n == p (the complement is empty); rerun with n > p",
-            file=sys.stderr,
-        )
-        return EXIT_NOT_DEMONSTRABLE
-    if any(status != "confirmed" for status in statuses):
-        print("error: not all defects could be confirmed", file=sys.stderr)
-        return EXIT_NOT_DEMONSTRABLE
-    return EXIT_OK
+    for row in rows:
+        d = row.defect
+        cells = ("" if c is None else c if isinstance(c, str) else _fmt(c)
+                 for c in row[1:5])
+        print(f"{d.item},{d.formula},{d.defect},{','.join(cells)},{row.status}")
+    if refusal is not None:
+        raise refusal
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
-    except GapTooSmall as exc:
+        args.run(args)
+        return 0
+    except SvdpertError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GAP
-    except (InsufficientSamples, TripletMatchAmbiguous) as exc:
+        return exc.exit_code
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNRELIABLE
-    except (ParseError, UnsupportedFormat, ConvergenceFailure, RankDeficient,
-            OSError) as exc:
+        return 1
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (DimensionMismatch, InvalidDims, IndexOutOfRange, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return 2
 
 
 def run() -> None:

@@ -25,12 +25,15 @@ perturbation is too large to track and raises TripletMatchAmbiguous.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    FitUnreliable,
     InsufficientSamples,
+    NotDemonstrable,
     TripletMatchAmbiguous,
     ZeroVector,
 )
@@ -42,19 +45,27 @@ from .linalg import (
     svd,
 )
 from .perturbation import (
+    CATALOG,
+    Defect,
     FormulaVariant,
     compute_projections,
     partition_svd,
+    shape_audit_as_printed,
     tall_problem,
     triplet_gap,
     variant_coefficients,
 )
+from .randmat import SpectrumSpec, SplitMix64, matrix_with_spectrum
 
 # Residuals at or below FLOOR_TOL sit in the numerical noise floor and are
 # excluded from slope fits; MATCH_TOL is the minimum |overlap| for tracking
-# a triplet across the perturbation.
+# a triplet across the perturbation.  A report certifies when every fit
+# reaches r2 >= R2_GATE; errata confirms a defect whose variant's order
+# lies at least ORDER_SEPARATION below the corrected form's.
 FLOOR_TOL = 1e-13
 MATCH_TOL = 0.7
+R2_GATE = 0.98
+ORDER_SEPARATION = 0.5
 
 
 @dataclass(frozen=True)
@@ -91,20 +102,34 @@ class ConvergenceReport:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", tuple(self.samples))
-        eps = [s.epsilon for s in self.samples]
-        if len(eps) < 4:
-            raise ValueError("a report needs at least 4 samples")
-        if any(e <= 0.0 for e in eps):
-            raise ValueError("ladder epsilons must be strictly positive")
-        ratios = [eps[i + 1] / eps[i] for i in range(len(eps) - 1)]
-        if any(not 0.0 < r < 1.0 for r in ratios):
-            raise ValueError("ladder epsilons must decrease strictly")
-        if any(abs(r - ratios[0]) > 1e-9 * ratios[0] for r in ratios):
-            raise ValueError("ladder epsilons must decrease by a constant factor")
+        _check_ladder([s.epsilon for s in self.samples])
 
     @property
     def min_r2(self) -> float:
         return min(self.r2_u, self.r2_v, self.r2_sigma)
+
+    @property
+    def refusal(self) -> FitUnreliable | None:
+        """None when the report certifies, else the error that refuses it:
+        min r2 below R2_GATE."""
+        if self.min_r2 < R2_GATE:
+            return FitUnreliable(
+                f"fit unreliable (min r2 {self.min_r2:.4f} < {R2_GATE})")
+        return None
+
+
+def _check_ladder(eps) -> None:
+    """Raise ValueError unless eps holds at least 4 positive epsilons that
+    decrease by a constant factor."""
+    if len(eps) < 4:
+        raise ValueError("a report needs at least 4 samples")
+    if any(e <= 0.0 for e in eps):
+        raise ValueError("ladder epsilons must be strictly positive")
+    ratios = [eps[i + 1] / eps[i] for i in range(len(eps) - 1)]
+    if any(not 0.0 < r < 1.0 for r in ratios):
+        raise ValueError("ladder epsilons must decrease strictly")
+    if any(abs(r - ratios[0]) > 1e-9 * ratios[0] for r in ratios):
+        raise ValueError("ladder epsilons must decrease by a constant factor")
 
 
 def align_sign(reference, candidate) -> np.ndarray:
@@ -288,11 +313,12 @@ def convergence_ladders(X, E_dir, variants, k: int = 1, eps0: float = 1e-2,
     variants share the ladder.  Any nonzero E_dir is scaled to unit
     Frobenius norm, so 2^j E_dir gives the same reports.  Requires count >=
     4, 0 < factor < 1, and eps0 < 0.1 * (spectral gap at the selected
-    triplet) so that tracking stays unambiguous.  Each rung's arithmetic is
-    its own, so reports are bitwise reproducible and, with factor 0.5, every
-    sample is residuals_at's at its epsilon.  The first rung that exhausts
-    the sweep budget or cannot be tracked raises ConvergenceFailure or
-    TripletMatchAmbiguous.
+    triplet) so that tracking stays unambiguous; epsilons that underflow
+    fail the report's ladder check before any rung is solved.  Each rung's
+    arithmetic is its own, so reports are bitwise reproducible and, with
+    factor 0.5, every sample is residuals_at's at its epsilon.  The first
+    rung that exhausts the sweep budget or cannot be tracked raises
+    ConvergenceFailure or TripletMatchAmbiguous.
     """
     variants = tuple(variants)
     if not variants:
@@ -309,9 +335,10 @@ def convergence_ladders(X, E_dir, variants, k: int = 1, eps0: float = 1e-2,
     gap = triplet_gap(full, k)
     if eps0 >= 0.1 * gap:
         raise ValueError(
-            f"eps0 ={eps0} must stay below 0.1 * spectral gap ({0.1 * gap:.3e})"
+            f"eps0 {eps0} must stay below 0.1 * spectral gap ({0.1 * gap:.3e})"
         )
     scales = [factor**i for i in range(count)]
+    _check_ladder([eps0 * s for s in scales])
     ladders = _score_ladder(problem, full, part, eps0, scales, variants)
     return tuple(fit_report(variant, samples, float(full.S[0]))
                  for variant, samples in zip(variants, ladders))
@@ -325,3 +352,56 @@ def convergence_ladder(
     ladder keywords eps0, factor and count, and their defaults, are
     convergence_ladders'."""
     return convergence_ladders(X, E_dir, (variant,), k=k, **ladder)[0]
+
+
+class ErrataRow(NamedTuple):
+    """One CATALOG row's evidence: a numeric row's metric, orders and their
+    separation, or "shape-audit" and the expected and printed dims."""
+
+    defect: Defect
+    metric: str
+    corrected: float | str | None
+    defective: float | str | None
+    separation: float | None
+    status: str
+
+
+def errata_rows(n: int = 5, p: int = 3, seed: int = 0) -> tuple:
+    """(one ErrataRow per CATALOG row, refusal) on a seeded n x p instance;
+    the refusal is None when every defect applies and is confirmed, else a
+    NotDemonstrable naming why.  The shape audit's InvalidDims checks n >=
+    p >= 2 first.  The instance has spectrum 3 * 0.7^j and a direction
+    drawn from seed + 1, scored for every cataloged variant on one default
+    ladder.  A numeric defect is confirmed when its order lies at least
+    ORDER_SEPARATION below the corrected one, a symbolic one when the audit
+    finds it."""
+    findings = shape_audit_as_printed(n, p)
+    sv = tuple(3.0 * 0.7**j for j in range(p))
+    X = matrix_with_spectrum(SpectrumSpec(n=n, p=p, singular_values=sv, seed=seed))
+    E = SplitMix64((seed + 1) % 2**64).normal_matrix(n, p)
+    variants = tuple(dict.fromkeys(
+        (FormulaVariant.CORRECTED, *(d.variant for d in CATALOG if d.variant))
+    ))
+    reports = dict(zip(variants, convergence_ladders(X, E, variants)))
+    rows = []
+    for d in CATALOG:
+        if not d.applies(n, p):
+            cells, status = (d.metric, None, None, None), "not applicable (n=p)"
+        elif d.variant:
+            good = getattr(reports[FormulaVariant.CORRECTED], d.metric)
+            bad = getattr(reports[d.variant], d.metric)
+            cells = (d.metric, good, bad, good - bad)
+            status = "confirmed" if good - bad >= ORDER_SEPARATION else "not confirmed"
+        else:
+            cells = ("shape-audit", *d.dims(n, p), None)
+            status = "confirmed" if d in findings else "not confirmed"
+        rows.append(ErrataRow(d, *cells, status))
+    if not all(d.applies(n, p) for d in CATALOG):
+        refusal = NotDemonstrable(
+            "the dropped-complement defect is not demonstrable when n == p "
+            "(the complement is empty); rerun with n > p")
+    elif any(row.status != "confirmed" for row in rows):
+        refusal = NotDemonstrable("not all defects could be confirmed")
+    else:
+        refusal = None
+    return tuple(rows), refusal

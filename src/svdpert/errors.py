@@ -1,33 +1,46 @@
 """Error types shared across the package.
 
-Each class maps one failure mode of the numerical pipeline; the CLI turns
-them into its documented exit codes.
+Each class maps one failure mode of the numerical pipeline and carries
+its own exit_code, the status the CLI exits with when the error reaches
+it; each also keeps its builtin parent (ValueError, RuntimeError or
+IndexError).
 """
 
 
-class DimensionMismatch(ValueError):
+class SvdpertError(Exception):
+    """Base of every svdpert error; subclasses set exit_code."""
+    exit_code: int
+
+
+class DimensionMismatch(SvdpertError, ValueError):
     """Operands have incompatible shapes."""
+    exit_code = 2
 
 
-class InvalidDims(ValueError):
+class InvalidDims(SvdpertError, ValueError):
     """Dimensions lie outside the supported regime."""
+    exit_code = 2
 
 
-class ConvergenceFailure(RuntimeError):
+class ConvergenceFailure(SvdpertError, RuntimeError):
     """An iterative kernel exhausted its sweep budget."""
+    exit_code = 1
 
 
-class RankDeficient(RuntimeError):
+class RankDeficient(SvdpertError, RuntimeError):
     """Full column rank is required and the input does not have it."""
+    exit_code = 1
 
 
-class IndexOutOfRange(IndexError):
+class IndexOutOfRange(SvdpertError, IndexError):
     """Requested triplet index is not in 1..p."""
+    exit_code = 2
 
 
-class GapTooSmall(RuntimeError):
+class GapTooSmall(SvdpertError, RuntimeError):
     """Selected singular value is too close to the rest of the spectrum
     for a first-order expansion to be meaningful."""
+    exit_code = 3
 
     def __init__(self, k: int, gap: float):
         super().__init__(
@@ -37,18 +50,21 @@ class GapTooSmall(RuntimeError):
         self.gap = gap
 
 
-class SingularSystem(RuntimeError):
+class SingularSystem(SvdpertError, RuntimeError):
     """The coupled correction system is numerically singular (this implies
     a spectral-gap failure upstream)."""
+    exit_code = 1
 
 
-class ZeroVector(ValueError):
+class ZeroVector(SvdpertError, ValueError):
     """A nonzero vector is required."""
+    exit_code = 2
 
 
-class TripletMatchAmbiguous(RuntimeError):
+class TripletMatchAmbiguous(SvdpertError, RuntimeError):
     """The perturbed triplet cannot be tracked back to the reference
     triplet with confidence."""
+    exit_code = 4
 
     def __init__(self, overlap: float, threshold: float, epsilon: float):
         super().__init__(
@@ -61,12 +77,25 @@ class TripletMatchAmbiguous(RuntimeError):
         self.epsilon = epsilon
 
 
-class InsufficientSamples(RuntimeError):
+class InsufficientSamples(SvdpertError, RuntimeError):
     """Too few residual samples survive the noise floor to fit an order."""
+    exit_code = 4
 
 
-class ParseError(ValueError):
+class FitUnreliable(SvdpertError, RuntimeError):
+    """A fitted order's r2 lies below the certification gate."""
+    exit_code = 4
+
+
+class NotDemonstrable(SvdpertError, RuntimeError):
+    """A cataloged defect cannot be shown, or was not confirmed, on the
+    errata instance."""
+    exit_code = 5
+
+
+class ParseError(SvdpertError, ValueError):
     """An input file violates the expected format."""
+    exit_code = 1
 
     def __init__(self, line: int, reason: str):
         super().__init__(f"line {line}: {reason}")
@@ -74,5 +103,6 @@ class ParseError(ValueError):
         self.reason = reason
 
 
-class UnsupportedFormat(ValueError):
+class UnsupportedFormat(SvdpertError, ValueError):
     """The file header declares a format this reader does not handle."""
+    exit_code = 1

@@ -6,6 +6,7 @@ the installed entry point.
 
 import functools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,11 +21,13 @@ from helpers import parse_kv, run_cli
 import svdpert as sp
 import svdpert.cli
 import svdpert.convergence
+import svdpert.errors
 import svdpert.mmio
 import svdpert.perturbation
 from svdpert import FormulaVariant
 
 BENCH_SV = "3,2.2,1.5,1,0.4"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_benchmark(tmp_path):
@@ -296,7 +299,7 @@ def test_verify_r2_gate_exits_4(tmp_path, monkeypatch):
     # no fit reaches r2 > 1, so the gate refuses an otherwise clean run
     x, e = write_benchmark(tmp_path)
     out = tmp_path / "report.csv"
-    monkeypatch.setattr(svdpert.cli, "R2_GATE", 1.5)
+    monkeypatch.setattr(svdpert.convergence, "R2_GATE", 1.5)
     code, stdout, err = run_cli(
         ["verify", "--x", str(x), "--edir", str(e), "--out", str(out)]
     )
@@ -383,11 +386,18 @@ def test_verify_count_too_small_is_usage_error(tmp_path):
 
 def test_verify_eps0_above_gap_guard_is_usage_error(tmp_path):
     x, e = write_benchmark(tmp_path)
-    code, _, err = run_cli(
-        ["verify", "--x", str(x), "--edir", str(e), "--eps0", "0.5"]
-    )
-    assert code == 2
-    assert "eps0" in err
+    assert run_cli(["verify", "--x", str(x), "--edir", str(e), "--eps0", "0.5"]) == (
+        2, "", "error: eps0 0.5 must stay below 0.1 * spectral gap (8.000e-02)\n")
+
+
+@pytest.mark.parametrize("flags", [["--factor", "1e-300", "--count", "4"],
+                                   ["--count", "1100"]])
+def test_verify_underflowing_ladder_is_usage_error(tmp_path, flags):
+    # a ladder whose epsilons underflow is a flag fault, found before the
+    # rungs are solved rather than as too few samples above the floor
+    x, e = write_benchmark(tmp_path)
+    assert run_cli(["verify", "--x", str(x), "--edir", str(e), *flags]) == (
+        2, "", "error: ladder epsilons must be strictly positive\n")
 
 
 def test_verify_noise_floor_exits_4(tmp_path):
@@ -465,7 +475,7 @@ def test_errata_unconfirmed_defect_exits_5(monkeypatch):
     # a "defect" that is the corrected form itself cannot separate
     no_defect = sp.Defect(6, "u_tilde", "corrected form", "order_u",
                           FormulaVariant.CORRECTED)
-    monkeypatch.setattr(svdpert.cli, "CATALOG", (*sp.CATALOG, no_defect))
+    monkeypatch.setattr(svdpert.convergence, "CATALOG", (*sp.CATALOG, no_defect))
     code, stdout, err = run_cli(["errata"])
     assert code == 5
     lines = stdout.splitlines()
@@ -492,6 +502,44 @@ def test_errata_rejects_bad_dims(n, p):
 
 
 # ------------------------------------------------------------------- misc
+
+def _readme_exit_codes():
+    """Error class name -> exit code, from the README's exit-code table."""
+    table = re.search(r"\n\| code .*?\n\n", README.read_text("utf-8"), re.S)
+    codes = {}
+    for line in table.group(0).strip().splitlines()[2:]:
+        code, _, raised = (cell.strip() for cell in line.strip("|").split("|"))
+        codes.update(dict.fromkeys(re.findall(r"`(\w+)`", raised), int(code)))
+    return codes
+
+
+ERROR_CLASSES = [cls for cls in vars(svdpert.errors).values()
+                 if isinstance(cls, type) and issubclass(cls, sp.SvdpertError)
+                 and cls is not sp.SvdpertError]
+ERROR_ARGS = {sp.GapTooSmall: (2, 1e-9), sp.ParseError: (3, "bad entry"),
+              sp.TripletMatchAmbiguous: (0.5, 0.7, 1e-3)}
+
+
+def test_readme_exit_code_table_names_every_error_class():
+    assert set(_readme_exit_codes()) == {
+        cls.__name__ for cls in ERROR_CLASSES} | {"OSError", "ValueError"}
+
+
+@pytest.mark.parametrize("cls", [*ERROR_CLASSES, OSError, ValueError],
+                         ids=lambda cls: cls.__name__)
+def test_every_error_exits_with_its_documented_code(monkeypatch, cls):
+    # a library error exits with its class's exit_code, any other OSError
+    # or ValueError with the README's code for it
+    exc = cls(*ERROR_ARGS.get(cls, ("boom",)))
+
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr(svdpert.cli, "errata_rows", fail)
+    code = _readme_exit_codes()[cls.__name__]
+    assert getattr(cls, "exit_code", code) == code
+    assert run_cli(["errata"]) == (code, "", f"error: {exc}\n")
+
 
 def test_missing_subcommand_is_usage_error():
     code, _, _ = run_cli([])

@@ -354,6 +354,18 @@ def test_ladder_precondition_errors():
         sp.convergence_ladder(x, e, eps0=0.2)
 
 
+@pytest.mark.parametrize("ladder", [{"count": 1100}, {"factor": 1e-300}])
+def test_underflowing_ladder_raises_before_solving(monkeypatch, ladder):
+    # the report's own check of the epsilons runs before any rung is solved
+    def solve(*args):
+        raise AssertionError("a rung was solved")
+
+    monkeypatch.setattr(svdpert.convergence, "_pivot_sweeps", solve)
+    x, e = make_instance(6, 4, 70)
+    with pytest.raises(ValueError, match="strictly positive"):
+        sp.convergence_ladder(x, e, **ladder)
+
+
 def test_symmetric_case_right_vector_superconverges():
     # for a symmetric perturbation of a symmetric matrix the second-order
     # vector error cancels in the gauge and the residual is cubic

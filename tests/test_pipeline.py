@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from helpers import make_instance, run_cli
 
 import svdpert as sp
-from svdpert.cli import R2_GATE
 from svdpert.errors import InsufficientSamples
 
 # Over 12,000 probe cases of test_verify_certifies_or_refuses, the orders
@@ -51,7 +50,7 @@ def _gap_eps0(X, k):
 
 
 def _assert_certified(report, orders):
-    assert report.min_r2 >= R2_GATE
+    assert report.refusal is None, report.refusal
     for order in orders:
         assert ORDER_BAND[0] <= order <= ORDER_BAND[1]
 
@@ -67,10 +66,13 @@ def test_verify_certifies_or_refuses(shape, j, seed):
     X, E = _problem(n, p, j, seed)
     try:
         report = sp.convergence_ladder(X, E, k=k, eps0=_gap_eps0(X, k))
-    except (sp.GapTooSmall, InsufficientSamples, sp.TripletMatchAmbiguous):
-        return  # refused: exit 3 for the gap, exit 4 for the other two
-    if report.min_r2 < R2_GATE:
-        return  # refused: exit 4
+    except sp.SvdpertError as exc:
+        # refused: exit 3 for the gap, exit 4 for an unreliable measurement
+        assert exc.exit_code in (3, 4), exc
+        return
+    if report.refusal is not None:
+        assert report.refusal.exit_code == 4
+        return
     _assert_certified(
         report, (report.order_u, report.order_v, report.order_sigma))
 

@@ -1,4 +1,4 @@
-"""The README's library example runs and prints what its comment says."""
+"""The README's library example runs and prints what its comments say."""
 
 import contextlib
 import io
@@ -15,5 +15,9 @@ def test_readme_library_example_prints_the_commented_orders():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(compile(block, str(README), "exec"), {})
-    good, bad = out.getvalue().split()
+    lines = out.getvalue().splitlines()
+    good, bad = lines[0].split()
     assert good.startswith("1.9996") and bad.startswith("1.0002"), (good, bad)
+    assert lines[1:3] == ["None", "None {'confirmed'}"]
+    assert lines[3].startswith("5 the dropped-complement defect is not "
+                               "demonstrable"), lines[3]
