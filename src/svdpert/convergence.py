@@ -328,7 +328,7 @@ def convergence_ladders(X, E_dir, variants, k: int = 1, eps0: float = 1e-2,
     if not (math.isfinite(factor) and 0.0 < factor < 1.0):
         raise ValueError(f"factor must lie in (0, 1), got {factor}")
     if not (math.isfinite(eps0) and eps0 > 0.0):
-        raise ValueError(f"eps0 must be positive, got {eps0}")
+        raise ValueError(f"eps0 must be finite and positive, got {eps0}")
     # triplet separation is a data problem and is reported as such,
     # before eps0 (a flag problem) is ever compared against the gap
     problem, full, part = _decompose(X, E_dir, k)

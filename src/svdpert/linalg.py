@@ -6,17 +6,19 @@ calls on the same input are bitwise identical.
 
 The SVD is a thin one-sided Jacobi preconditioned by two QR factorizations,
 ``X = U @ np.diag(S) @ V.T`` with U n x r, V p x r, ``r = min(n, p)``, and
-no complement basis (callers use ``I - U U^T``).  The same rotations, on the
-pairs that hold one pivot column of a stack of matrices, give one exact
-singular triplet per matrix: all that a convergence ladder's rungs read.
-Each column is a mantissa times its own power of two, renormalized every
-sweep, so a column far below the largest one, or cancelled far below its
-starting scale, keeps full relative accuracy; the scaling is exact for
-entries that neither are nor become subnormal.
+no complement basis (callers use ``I - U U^T``).  The same sweep check and
+rotation step, on the pairs that hold one pivot column of a stack of
+matrices, give one exact singular triplet per matrix: all that a
+convergence ladder's rungs read.  Each column is a mantissa times its own
+power of two, renormalized every sweep, so a column far below the largest
+one, or cancelled far below its starting scale, keeps full relative
+accuracy; the scaling is exact for entries that neither are nor become
+subnormal.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -29,11 +31,11 @@ from .errors import ConvergenceFailure, DimensionMismatch, RankDeficient
 JACOBI_SWEEP_LIMIT = 30
 JACOBI_TOL = 1e-14
 QR_RANK_TOL = 1e-13
-# From this many columns on, svd's Jacobi sweeps rotate each round of
-# disjoint pairs at once; below it they rotate pair by pair on Python
-# floats, where a round's fixed numpy cost outweighs its few rotations.
-# Both give the same bits below it, so it chooses speed only
+# From this many columns on, svd's sweeps rotate each round's pairs at once;
+# below, pair by pair on Python floats, with the same bits: it sets speed only
 _BATCH_MIN_WIDTH = 8
+# _sweep_start's chunks of pairs span up to this many entries (the first 1/16)
+_CHECK_CELLS = 1 << 16
 # Householder QR factors, and applies, its reflectors this many at a time
 _PANEL = 16
 
@@ -110,32 +112,18 @@ def _rotation(a: float, b: float, c: float, d: int):
     return cs, small, sn, big
 
 
-def _rotations(a, b, c, d, active) -> np.ndarray:
-    """_rotation of each pair i with Gram entries a[i], b[i], c[i] and
-    exponent difference d[i], evaluated on Python floats where active[i]
-    and the identity elsewhere, as an array F of shape (4, len(a), 1): the
-    factors F[k] broadcast against a stack of rows."""
-    factors = map(lambda a, b, c, d, on: _rotation(a, b, c, d) if on else
-                  (1.0, 0.0, 0.0, 0.0), a.tolist(), b.tolist(), c.tolist(),
-                  d.tolist(), active.tolist())
-    F = np.fromiter(chain.from_iterable(factors), float, 4 * len(a))
-    return F.reshape(-1, 4).T[..., None]
-
-
-def _round_robin(p: int) -> list:
-    """Brent and Luk's round-robin schedule: p - 1 rounds (p when p is odd)
-    of floor(p / 2) disjoint pairs, visiting every pair once.  The columns
-    sit on a ring, padded with a dummy p when p is odd; a round pairs the
-    first half of the ring with the second half reversed, and then every
-    place but the first turns one step."""
-    m = p + p % 2
-    ring = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        pairs = zip(ring[:m // 2], ring[:m // 2 - 1:-1])
-        rounds.append([pair for pair in pairs if p not in pair])
-        ring = [ring[0], ring[-1], *ring[1:-1]]
-    return rounds
+@lru_cache(maxsize=16)
+def _round_robin(p: int) -> np.ndarray:
+    """Brent and Luk's round-robin schedule, an array (shared: not to be
+    written) of p - 1 rounds (p when p is odd) of floor(p / 2) disjoint
+    (top, bottom) pairs that visit every pair once.  The columns sit on a
+    ring, with a dummy p when p is odd; a round pairs the ring's first half
+    with its second half reversed, then every place but the first turns."""
+    m, h = p + p % 2, (p + 1) // 2
+    ring = np.zeros((m - 1, m), dtype=int)
+    ring[:, 1:] = 1 + (np.arange(m - 1) - np.arange(m - 1)[:, None]) % (m - 1)
+    pairs = np.stack((ring[:, :h], ring[:, :h - 1:-1]), axis=2)
+    return pairs[(pairs < p).all(axis=2)].reshape(m - 1, p // 2, 2)
 
 
 def _rotate_pairs(W, V, e, pairs) -> bool:
@@ -172,48 +160,53 @@ def _rotate_pairs(W, V, e, pairs) -> bool:
     return rotated
 
 
-def _settled(W) -> bool:
-    """Whether no round of _batched_sweep would rotate a pair of rows of W,
-    in the rounds' arithmetic, under either order of their threshold product."""
+def _sweep_start(W, e, I, J, live):
+    """Start a sweep: rescale each row of W in place so that its largest
+    entry lies in [0.5, 1), adding the shifts to e, and return live & turns,
+    turns[r] whether _jacobi_step would rotate one of the pairs (I[r, k],
+    J[r, k]), top row first, of the rescaled rows.  No pair turns before the
+    first that would, so turns[r] is whether the sweep rotates matrix r.
+    The chunks of pairs double until every live matrix has one that turns."""
+    _, shifts = np.frexp(np.max(np.abs(W), axis=1))
+    np.ldexp(W, -shifts[:, None], out=W)
+    e += shifts
     norms = np.sqrt(np.add.reduce(W * W, axis=1))
-    bound = JACOBI_TOL * norms[:, None] * norms
-    bound = np.minimum(bound, bound.T)
-    np.fill_diagonal(bound, np.inf)
-    step = max(1, (1 << 16) // W.size)
-    return not any((np.abs(np.add.reduce(W[i:i + step, None] * W[i:], axis=2))
-                    > bound[i:i + step, i:]).any() for i in range(0, len(W), step))
+    turns, cells = np.zeros(len(I), dtype=bool), len(I) * W.shape[1]
+    k, step = 0, max(1, (_CHECK_CELLS >> 4) // cells)
+    while k < I.shape[1] and not turns[live].all():
+        i, j = I[:, k:k + step], J[:, k:k + step]
+        c = np.add.reduce(W.take(i, axis=0) * W.take(j, axis=0), axis=2)
+        turns |= (np.abs(c) > JACOBI_TOL * norms[i] * norms[j]).any(axis=1)
+        k, step = k + step, min(2 * step, max(1, _CHECK_CELLS // cells))
+    return live & turns
 
 
-def _batched_sweep(WV, e):
-    """One sweep of _round_robin's rounds, each one Gram step and one
-    rotation of its disjoint pairs; returns (WV, e, rotated).  WV[0] and
-    WV[1] hold the columns of the swept matrix and of V as rows (an even
-    count), so one broadcast rotates both.  The rows are kept in the order
-    of the schedule's ring, so a round's pairs are the first half and the
-    second half reversed, and turning the ring is one concatenation per
-    array; after the m - 1 rounds of a sweep the rows are back in order.
-    """
-    if _settled(WV[0]):
-        return WV, e, False
-    h = len(e) // 2
-    rotated = False
-    for _ in range(2 * h - 1):
-        W = WV[0]
-        squares = np.add.reduce(W * W, axis=1)
-        norms = np.sqrt(squares)
-        c = np.add.reduce(W[:h] * W[h:][::-1], axis=1)
-        active = np.abs(c) > JACOBI_TOL * norms[:h] * norms[h:][::-1]
-        top, bottom = WV[:, :h], WV[:, h:][:, ::-1]
-        if active.any():
-            rotated = True
-            F = _rotations(squares[:h], squares[h:][::-1], c,
-                           e[h:][::-1] - e[:h], active)
-            # F = (cs, s_up, sn, s_down): F[1:3] and F[3:1:-1] pair with (W, V)
-            top, bottom = F[0] * top - F[1:3] * bottom, F[3:1:-1] * top + F[0] * bottom
-        WV = np.concatenate((top[:, :1], bottom[:, :1], top[:, 1:], bottom[:, :0:-1]),
-                            axis=1)
-        e = np.concatenate((e[:1], e[-1:], e[1:-1]))
-    return WV, e, rotated
+def _jacobi_step(WV, e, top, bottom, live=None):
+    """Rotate the disjoint row pairs (top[k], bottom[k]) of WV, top and
+    bottom basic slices: WV[0] holds W's rows, mantissas with exponents e,
+    and WV[1] V's, so one broadcast rotates both.  A pair turns, by
+    _rotation on Python floats, where live and |c| > JACOBI_TOL sqrt(a)
+    sqrt(b).  Returns the (top, bottom) rows: new ones, the pairs that do
+    not turn rotated by the identity, or WV's own if no pair turns."""
+    x, y = WV[0, top], WV[0, bottom]
+    products = np.empty((3, *x.shape))
+    np.multiply(x, x, out=products[0])
+    np.multiply(y, y, out=products[1])
+    np.multiply(x, y, out=products[2])
+    a, b, c = G = np.add.reduce(products, axis=2)
+    roots = np.sqrt(G[:2])
+    active = np.abs(c) > JACOBI_TOL * roots[0] * roots[1]
+    if live is not None:
+        active &= live
+    if not active.any():
+        return WV[:, top], WV[:, bottom]
+    factors = map(lambda a, b, c, d, on: _rotation(a, b, c, d) if on else
+                  (1.0, 0.0, 0.0, 0.0), a.tolist(), b.tolist(), c.tolist(),
+                  (e[bottom] - e[top]).tolist(), active.tolist())
+    F = np.fromiter(chain.from_iterable(factors), float).reshape(-1, 4).T[..., None]
+    # F = (cs, s_up, sn, s_down): F[1:3] and F[3:1:-1] pair with (W, V)
+    x, y = WV[:, top], WV[:, bottom]
+    return F[0] * x - F[1:3] * y, F[3:1:-1] * x + F[0] * y
 
 
 def _jacobi_sweeps(L: np.ndarray, max_sweeps: int):
@@ -227,87 +220,74 @@ def _jacobi_sweeps(L: np.ndarray, max_sweeps: int):
     underflow nor lose digits; the scaling is exact and the angles depend
     only on the true columns, so wherever unscaled sweeps stay clear of
     overflow and underflow the rotations are bitwise theirs.  A sweep runs
-    the rounds of _round_robin, each at once (_batched_sweep) from
-    _BATCH_MIN_WIDTH columns on, where a round's fixed numpy cost is
-    shared by enough rotations, and pair by pair on Python floats below
+    _round_robin's rounds: from _BATCH_MIN_WIDTH columns on, one
+    _sweep_start, which ends the solve if no pair would rotate, and one
+    _jacobi_step per round; below, pair by pair on Python floats
     (_rotate_pairs), with the same bits.
     """
     p = len(L)
     if p < _BATCH_MIN_WIDTH:
         W, V, e = L.T.tolist(), np.eye(p).tolist(), [0] * p
-        pairs = [pair for pairs in _round_robin(p) for pair in pairs]
+        pairs = _round_robin(p).reshape(-1, 2).tolist()
         for _ in range(max_sweeps):
             if not _rotate_pairs(W, V, e, pairs):
                 return np.array(W).T, np.array(e), np.array(V).T
     else:
-        # row k of WV[0] and WV[1] is column k of W and V, an odd count
-        # padded with a zero row, which no pair rotates
-        m = p + p % 2
-        WV = np.zeros((2, m, p))
-        WV[0, :p] = L.T
-        WV[1] = np.eye(m, p)
-        e = np.zeros(m, dtype=int)
+        # row q of W and V holds column ring[q] (ring is self-inverse) when a
+        # sweep starts, so a round pairs rows q and h + q; odd p adds a zero row
+        m, h = p + p % 2, (p + 1) // 2
+        ring = np.concatenate((np.arange(h), np.arange(m - 1, h - 1, -1)))
+        turn = np.array([0, h, *range(1, h - 1), *range(h + 1, m), h - 1])
+        I, J = np.moveaxis(ring[_round_robin(p)], 2, 0).reshape(2, 1, -1)
+        WV, e, live = np.zeros((2, m, p)), np.zeros(m, dtype=int), np.ones(1, bool)
+        WV[:, ring[:p]] = L.T, np.eye(p)
         for _ in range(max_sweeps):
-            W = WV[0]
-            _, exponents = np.frexp(np.max(np.abs(W), axis=1))
-            np.ldexp(W, -exponents[:, None], out=W)
-            e += exponents
-            WV, e, rotated = _batched_sweep(WV, e)
-            if not rotated:
-                return WV[0, :p].T, e[:p], WV[1, :p].T
+            if not _sweep_start(WV[0], e, I, J, live)[0]:
+                return WV[0, ring[:p]].T, e[ring[:p]], WV[1, ring[:p]].T
+            for _ in range(m - 1):
+                x, y = _jacobi_step(WV, e, slice(h), slice(h, m))
+                WV = np.concatenate(
+                    (x[:, :1], y[:, :1], x[:, 1:-1], y[:, 1:], x[:, -1:]), axis=1)
+                e = e[turn]
     raise ConvergenceFailure(
         f"one-sided Jacobi did not converge in {max_sweeps} sweeps")
 
 
 def _pivot_sweeps(X: np.ndarray, pivot: int, max_sweeps: int):
-    """One exact singular triplet of each matrix of a stack: _jacobi_sweeps'
-    sweeps over the pairs (pivot, j) alone, until the pivot column is
-    orthogonal to every other, so V[:, pivot] is an exact right singular
-    vector, W[:, pivot] scaled by 2^e its value times its left vector (Demmel
-    and Veselic 1992).  The matrices move in lockstep: a sweep
-    starts with one check of all pivot cosines, in the per-pair check's
-    arithmetic, which ends a matrix where the sweep would rotate nothing;
-    each pair step rotates the pair in every matrix not yet ended.  Each
-    matrix gets the bits it gets alone.  Once all are solved, yields (sigma,
-    u, y = V[:, pivot]) per matrix in order, raising ConvergenceFailure on
-    reaching one not ended within max_sweeps sweeps.
+    """One exact singular triplet of each n x p matrix of a stack:
+    _jacobi_sweeps' sweeps over the pairs (pivot, j) alone, until the pivot
+    column is orthogonal to every other, so V[:, pivot] is an exact right
+    singular vector, W[:, pivot] scaled by 2^e its value times its left
+    vector (Demmel and Veselic 1992).  The matrices move in lockstep, column
+    j of matrix r and of its V (zero-padded to one length) in row r p + j
+    of one array: a sweep is one _sweep_start, ending each matrix it would
+    not rotate, and one _jacobi_step per j on the rows pivot::p and j::p.
+    Each matrix gets the bits it gets alone.  Yields (sigma, u, y = V[:,
+    pivot]) per matrix in order once all are solved, raising
+    ConvergenceFailure on reaching one not ended within max_sweeps sweeps.
     """
-    W = np.ascontiguousarray(np.swapaxes(X, 1, 2))
-    count, p, _ = W.shape
-    V = np.tile(np.eye(p), (count, 1, 1))
-    e = np.zeros((count, p), dtype=int)
-    live = np.ones(count, dtype=bool)
+    count, n, p = X.shape
+    WV = np.zeros((2, count * p, max(n, p)))
+    WV[0, :, :n] = np.swapaxes(X, 1, 2).reshape(count * p, n)
+    WV[1, :, :p] = np.tile(np.eye(p), (count, 1))
+    e, live = np.zeros(count * p, dtype=int), np.ones(count, dtype=bool)
+    others = [j for j in range(p) if j != pivot]
+    rows = p * np.arange(count)[:, None]
+    I, J = np.repeat(rows + pivot, p - 1, axis=1), rows + others
+    top = slice(pivot, None, p)
     for _ in range(max_sweeps):
-        _, exponents = np.frexp(np.max(np.abs(W), axis=2))
-        W = np.ldexp(W, -exponents[..., None])
-        e += exponents
-        squares = np.add.reduce(W * W, axis=2)
-        c = np.add.reduce(W[:, pivot, None] * W, axis=2)
-        norms = np.sqrt(squares)
-        active = np.abs(c) > JACOBI_TOL * norms[:, pivot, None] * norms
-        active[:, pivot] = False
-        live &= active.any(axis=1)
+        live = _sweep_start(WV[0], e, I, J, live)
         if not live.any():
             break
-        d = e - e[:, pivot, None]
-        for j in (*range(pivot), *range(pivot + 1, p)):
-            # row j is rotated only at its own step, so its norm stands
-            wk, wj, vk, vj = W[:, pivot], W[:, j], V[:, pivot], V[:, j]
-            a, c = np.add.reduce(wk * wk, axis=1), np.add.reduce(wk * wj, axis=1)
-            active = live & (np.abs(c) > JACOBI_TOL * np.sqrt(a) * norms[:, j])
-            if not active.any():
-                continue
-            cs, s_up, sn, s_down = _rotations(a, squares[:, j], c, d[:, j], active)
-            W[:, pivot], W[:, j] = cs * wk - s_up * wj, s_down * wk + cs * wj
-            V[:, pivot], V[:, j] = cs * vk - sn * vj, sn * vk + cs * vj
-    for r in range(count):
-        if live[r]:
+        for j in others:
+            WV[:, top], WV[:, j::p] = _jacobi_step(WV, e, top, slice(j, None, p), live)
+    for ended, w, y, exponent in zip(~live, WV[0, top, :n], WV[1, top, :p], e[top]):
+        if not ended:
             raise ConvergenceFailure(
                 f"one-sided Jacobi did not converge in {max_sweeps} sweeps")
-        w = W[r, pivot]
         # not w @ w, whose bits follow w's alignment; a zero u is refused later
         norm = math.sqrt(float(np.add.reduce(w * w)))
-        yield math.ldexp(norm, int(e[r, pivot])), (w / norm if norm else w), V[r, pivot]
+        yield math.ldexp(norm, int(exponent)), (w / norm if norm else w), y
 
 
 def _preconditioning_qr(A: np.ndarray, pivot: bool):
@@ -422,9 +402,7 @@ def svd(x, max_sweeps: int = JACOBI_SWEEP_LIMIT) -> Svd:
         U, V = V, U
     peaks = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
     signs = np.where(peaks < 0.0, -1.0, 1.0)
-    U *= signs
-    V *= signs
-    return Svd(U=U, S=S, V=V)
+    return Svd(U=U * signs, S=S, V=V * signs)
 
 
 def qr_orthonormal(a) -> np.ndarray:

@@ -390,6 +390,14 @@ def test_verify_eps0_above_gap_guard_is_usage_error(tmp_path):
         2, "", "error: eps0 0.5 must stay below 0.1 * spectral gap (8.000e-02)\n")
 
 
+@pytest.mark.parametrize("value, shown", [("inf", "inf"), ("nan", "nan"), ("-1", "-1.0")])
+def test_verify_eps0_must_be_finite_and_positive(tmp_path, value, shown):
+    # the message names the rule the check applies, also for inf and nan
+    x, e = write_benchmark(tmp_path)
+    assert run_cli(["verify", "--x", str(x), "--edir", str(e), f"--eps0={value}"]) == (
+        2, "", f"error: eps0 must be finite and positive, got {shown}\n")
+
+
 @pytest.mark.parametrize("flags", [["--factor", "1e-300", "--count", "4"],
                                    ["--count", "1100"]])
 def test_verify_underflowing_ladder_is_usage_error(tmp_path, flags):

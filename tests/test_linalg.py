@@ -4,6 +4,7 @@ Oracles are hand-computed or structural (reconstruction, orthogonality),
 never a second call into the routine under test.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -397,13 +398,26 @@ def test_sweep_drivers_agree_bitwise_below_batch_width(p, extra, wide, seed,
     x[[r for r in zero_rows if r < p + extra]] = 0.0
     if wide:
         x = x.T
+    # and both need the same smallest sweep budget
     runs = []
     with pytest.MonkeyPatch.context() as patch:
         for width in (2, 8):
             patch.setattr(svdpert.linalg, "_BATCH_MIN_WIDTH", width)
             f = sp.svd(x)
             runs.append([a.tobytes() for a in (f.U, f.S, f.V)])
+            runs[-1].append(smallest_budget(lambda budget: sp.svd(x, budget)))
     assert runs[0] == runs[1]
+
+
+def smallest_budget(solve):
+    """The smallest max_sweeps with which solve(max_sweeps) returns."""
+    for budget in range(1, JACOBI_SWEEP_LIMIT + 1):
+        try:
+            solve(budget)
+        except ConvergenceFailure:
+            continue
+        return budget
+    raise AssertionError("no budget up to JACOBI_SWEEP_LIMIT converges")
 
 
 @pytest.mark.parametrize("width", [2, 10**9])
@@ -416,28 +430,74 @@ def test_each_sweep_path_is_deterministic_bitwise(monkeypatch, width, x):
     assert np.array_equal(f1.V, f2.V)
 
 
-@pytest.mark.parametrize("x", [
-    SWEEP_INPUTS[0], SWEEP_INPUTS[2], sp.SplitMix64(5).normal_matrix(12, 25),
-    sp.matrix_with_spectrum(sp.SpectrumSpec(
-        n=60, p=33, seed=2, singular_values=tuple(3.0 * 0.7**j for j in range(33)))),
-])
-def test_settled_sweep_keeps_the_bytes_of_sweeping_to_the_end(monkeypatch, x):
-    # a batched sweep that would rotate nothing is skipped; sweeping it to
-    # the end instead rotates nothing, so every byte is the same
-    settled = []
-    check = svdpert.linalg._settled
+@pytest.mark.parametrize("case", [
+    "svd-0", "svd-2", "svd-12x25", "svd-60x33", "rungs-pivot-0", "rungs-pivot-2"])
+def test_sweep_start_ends_a_matrix_exactly_when_its_sweep_turns_nothing(monkeypatch,
+                                                                        case):
+    # _sweep_start ends a matrix where its sweep would rotate no pair: each
+    # matrix it ends is swept once more anyway, which rotates nothing and
+    # keeps every byte, and each sweep it lets run rotates a pair of every
+    # matrix it keeps; on svd's rounds (one matrix) and on an 8-rung stack
+    kind, _, arg = case.partition("-")
+    if kind == "svd":
+        x = {"0": SWEEP_INPUTS[0], "2": SWEEP_INPUTS[2],
+             "12x25": sp.SplitMix64(5).normal_matrix(12, 25),
+             "60x33": sp.matrix_with_spectrum(sp.SpectrumSpec(
+                 n=60, p=33, seed=2, singular_values=tuple(
+                     3.0 * 0.7**j for j in range(33))))}[arg]
 
-    def recorded(W):
-        settled.append(check(W))
-        return settled[-1]
+        def solve():
+            f = sp.svd(x)
+            return [f.U, f.S, f.V]
+    else:
+        ys, _, v0 = warm_pivot_solve(40, 20, 1, 3, rungs=8)
+        stack = np.array([y @ v0 for y in ys])
 
-    monkeypatch.setattr(svdpert.linalg, "_settled", recorded)
-    skipped = sp.svd(x)
-    assert settled[-1] and not any(settled[:-1])
-    monkeypatch.setattr(svdpert.linalg, "_settled", lambda W: False)
-    swept = sp.svd(x)
-    for a, b in ((skipped.U, swept.U), (skipped.S, swept.S), (skipped.V, swept.V)):
-        assert a.tobytes() == b.tobytes()
+        def solve():
+            return [np.asarray(part) for triplet in
+                    _pivot_sweeps(stack, int(arg[-1]), JACOBI_SWEEP_LIMIT)
+                    for part in triplet]
+
+    check, step = svdpert.linalg._sweep_start, svdpert.linalg._jacobi_step
+    rotation = svdpert.linalg._rotation
+    sweeps, forced, rotations = [], set(), []
+
+    def audited_check(W, e, I, J, live):
+        verdict = check(W, e, I, J, live)
+        swept = live.copy()
+        for r in np.flatnonzero(live & ~verdict):
+            swept[r] = r not in forced
+            forced.add(r)
+        sweeps.append((verdict, np.zeros_like(verdict)))
+        return swept
+
+    def counted(*args):
+        rotations.append(args)
+        return rotation(*args)
+
+    def audited_step(WV, e, top, bottom, live=None):
+        # whether a pair of each matrix turns: the step on it alone takes
+        # an angle
+        turned = sweeps[-1][1]
+        for r in range(len(turned)):
+            rotations.clear()
+            step(WV, e, top, bottom, None if live is None else live & (
+                np.arange(len(live)) == r))
+            turned[r] |= bool(rotations)
+        return step(WV, e, top, bottom, live)
+
+    expected = solve()
+    # chunks of one pair or a few, so that the walk over them is tested
+    monkeypatch.setattr(svdpert.linalg, "_CHECK_CELLS", 1 << 6)
+    monkeypatch.setattr(svdpert.linalg, "_sweep_start", audited_check)
+    monkeypatch.setattr(svdpert.linalg, "_jacobi_step", audited_step)
+    monkeypatch.setattr(svdpert.linalg, "_rotation", counted)
+    got = solve()
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+    assert len(forced) == len(sweeps[0][0])
+    assert any(verdict.any() for verdict, _ in sweeps)
+    for verdict, turned in sweeps:
+        assert np.array_equal(verdict, turned)
 
 
 def test_svd_orthogonal_tiny_column_is_exact():
@@ -491,7 +551,9 @@ def test_pivot_sweeps_give_the_exact_triplet(n, p, k):
 def test_pivot_sweeps_deterministic_bitwise(shape, seed):
     # for every pivot, the same stack twice, and each rung of it alone, give
     # the same bits: a rung's arithmetic must not follow its place in the
-    # stack's memory, as a BLAS dot's does on some kernels
+    # stack's memory, as a BLAS dot's does on some kernels.  A rung needs the
+    # same sweep budget in its stack as alone: the stack yields rung r within
+    # a budget exactly when rungs 0..r each converge within it alone
     n, p = shape
     ys, _, v0 = warm_pivot_solve(n, p, 1, seed, rungs=4)
     stack = np.array([y @ v0 for y in ys])
@@ -504,6 +566,12 @@ def test_pivot_sweeps_deterministic_bitwise(shape, seed):
             assert a[0] == b[0] == c[0]
             for i in (1, 2):
                 assert np.array_equal(a[i], b[i]) and np.array_equal(a[i], c[i])
+        budgets = [smallest_budget(lambda b: next(_pivot_sweeps(stack[r:r + 1], k, b)))
+                   for r in range(len(ys))]
+        for r in range(len(ys)):
+            in_stack = smallest_budget(
+                lambda b: list(itertools.islice(_pivot_sweeps(stack, k, b), r + 1)))
+            assert in_stack == max(budgets[:r + 1])
 
 
 def test_every_rotation_comes_from_the_one_formula(monkeypatch):
