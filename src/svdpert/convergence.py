@@ -37,17 +37,12 @@ from .errors import (
     TripletMatchAmbiguous,
     ZeroVector,
 )
-from .linalg import (
-    JACOBI_SWEEP_LIMIT,
-    _exponent,
-    _pivot_sweeps,
-    frobenius_norm,
-    svd,
-)
+from .linalg import _exponent, _pivot_sweeps, frobenius_norm, svd
 from .perturbation import (
     CATALOG,
     Defect,
     FormulaVariant,
+    _prediction,
     compute_projections,
     partition_svd,
     shape_audit_as_printed,
@@ -169,10 +164,9 @@ def _score_ladder(problem, full, part, eps0: float, scales, variants) -> list:
     order, a rung is tracked when both overlaps reach MATCH_TOL, first the
     right one y[k - 1], then the left one u @ u1, else TripletMatchAmbiguous;
     each exact vector is divided by its overlap, into the prediction's affine
-    chart.  E is projected once, as eps0 * Eo; rung i scales each variant's
-    corrections by s = scales[i] in expand_triplet's order of additions
-    (u1 + s U2 g2 [+ s g3], v1 + s V2 h2, sigma1 + s theta1): bitwise
-    expand_triplet at epsilon_i when s is a power of two, barring subnormals.
+    chart.  E is projected once, as eps0 * Eo, and _prediction scales each
+    variant's corrections to rung i by scales[i]: bitwise expand_triplet at
+    epsilon_i when that is a power of two, barring subnormals.
     """
     Xo, Eo, swapped = problem
     j = part.k - 1
@@ -182,7 +176,7 @@ def _score_ladder(problem, full, part, eps0: float, scales, variants) -> list:
     else:
         stack = Xo @ full.V + np.multiply.outer(epsilons, Eo @ full.V)
         rungs = ((sigma, u, full.V @ y, float(y[j]))
-                 for sigma, u, y in _pivot_sweeps(stack, j, JACOBI_SWEEP_LIMIT))
+                 for sigma, u, y in _pivot_sweeps(stack, j))
     exact = []
     for epsilon, (sigma, u, v, right) in zip(epsilons, rungs):
         left = float(u @ part.u1)
@@ -195,14 +189,11 @@ def _score_ladder(problem, full, part, eps0: float, scales, variants) -> list:
     s = np.array(scales)[:, None]
     ladders = []
     for variant in variants:
-        co = variant_coefficients(part, proj, variant)
-        u = part.u1 + s * (part.U2 @ co.g2)
-        if part.has_complement and not variant.omits_complement:
-            u = u + s * co.g3
-        v = part.v1 + s * (part.V2 @ co.h2)
+        u, v, sigma = _prediction(
+            part, variant_coefficients(part, proj, variant), variant, s)
         res_u, res_v = (np.sqrt(np.add.reduce(np.square(d), axis=1))
                         for d in (us - u, vs - v))
-        res_sigma = np.abs(sigmas - (part.sigma1 + s[:, 0] * co.theta1))
+        res_sigma = np.abs(sigmas - sigma[:, 0])
         if swapped:
             res_u, res_v = res_v, res_u
         ladders.append([ResidualSample(*sample) for sample in zip(

@@ -9,11 +9,12 @@ The SVD is a thin one-sided Jacobi preconditioned by two QR factorizations,
 no complement basis (callers use ``I - U U^T``).  The same sweep check and
 rotation step, on the pairs that hold one pivot column of a stack of
 matrices, give one exact singular triplet per matrix: all that a
-convergence ladder's rungs read.  Each column is a mantissa times its own
-power of two, renormalized every sweep, so a column far below the largest
-one, or cancelled far below its starting scale, keeps full relative
-accuracy; the scaling is exact for entries that neither are nor become
-subnormal.
+convergence ladder's rungs read.  Neither knows its caller: no step turns
+a matrix that its check ended, so the next check ends it again.  Each
+column is a mantissa times its own power of two, renormalized every
+sweep, so a column far below the largest one, or cancelled far below its
+starting scale, keeps full relative accuracy; the scaling is exact for
+entries that neither are nor become subnormal.
 """
 
 import math
@@ -160,14 +161,14 @@ def _rotate_pairs(W, V, e, pairs) -> bool:
     return rotated
 
 
-def _sweep_start(W, e, I, J, live):
+def _sweep_start(W, e, I, J):
     """Start a sweep: rescale each row of W in place so that its largest
-    entry lies in [0.5, 1), adding the shifts to e, and return (live &
-    turns, the rescaled rows' squares), turns[r] whether _jacobi_step would
-    rotate one of the pairs (I[r, k], J[r, k]), top row first, of the
-    rescaled rows.  No pair turns before the first that would, so turns[r]
-    is whether the sweep rotates matrix r.  The chunks of pairs double
-    until every live matrix has one that turns."""
+    entry lies in [0.5, 1), adding the shifts to e, and return (turns, the
+    rescaled rows' squares), turns[r] whether _jacobi_step would rotate one
+    of the pairs (I[r, k], J[r, k]), top row first, of the rescaled rows.
+    No pair turns before the first that would, so turns[r] is whether the
+    sweep rotates matrix r; one it ends keeps its rows and stays ended.
+    The chunks of pairs double until every matrix has one that turns."""
     _, shifts = np.frexp(np.max(np.abs(W), axis=1))
     np.ldexp(W, -shifts[:, None], out=W)
     e += shifts
@@ -175,23 +176,23 @@ def _sweep_start(W, e, I, J, live):
     norms = np.sqrt(squares)
     turns, cells = np.zeros(len(I), dtype=bool), len(I) * W.shape[1]
     k, step = 0, max(1, (_CHECK_CELLS >> 4) // cells)
-    while k < I.shape[1] and not turns[live].all():
+    while k < I.shape[1] and not turns.all():
         i, j = I[:, k:k + step], J[:, k:k + step]
         c = np.add.reduce(W.take(i, axis=0) * W.take(j, axis=0), axis=2)
         turns |= (np.abs(c) > JACOBI_TOL * norms[i] * norms[j]).any(axis=1)
         k, step = k + step, min(2 * step, max(1, _CHECK_CELLS // cells))
-    return live & turns, squares
+    return turns, squares
 
 
-def _jacobi_step(WV, e, top, bottom, live=None, b=None):
+def _jacobi_step(WV, e, top, bottom, b=None):
     """Rotate the disjoint row pairs (top[k], bottom[k]) of WV, top and
     bottom basic slices: WV[0] holds W's rows, mantissas with exponents e,
     and WV[1] V's, so one broadcast rotates both.  A pair turns, by
-    _rotation on Python floats, where live and |c| > JACOBI_TOL sqrt(a)
-    sqrt(b); b, the bottom rows' squares, is summed here unless given (a
-    row's square from _sweep_start has the same bits until it turns).
-    Returns the (top, bottom) rows: new ones, the pairs that do not turn
-    rotated by the identity, or WV's own if no pair turns."""
+    _rotation on Python floats, where |c| > JACOBI_TOL sqrt(a) sqrt(b), the
+    test of _sweep_start on the same bits; b, the bottom rows' squares, is
+    summed here unless given (a row's square from _sweep_start has the same
+    bits until it turns).  Returns the (top, bottom) rows: new ones, the
+    pairs that do not turn rotated by the identity, or WV's own if none do."""
     x, y = WV[0, top], WV[0, bottom]
     products = np.empty((3 if b is None else 2, *x.shape))
     np.multiply(x, x, out=products[0])
@@ -201,8 +202,6 @@ def _jacobi_step(WV, e, top, bottom, live=None, b=None):
     G = np.add.reduce(products, axis=2)
     a, c, b = G[0], G[1], G[2] if b is None else b
     active = np.abs(c) > JACOBI_TOL * np.sqrt(a) * np.sqrt(b)
-    if live is not None:
-        active &= live
     if not active.any():
         return WV[:, top], WV[:, bottom]
     factors = map(lambda a, b, c, d, on: _rotation(a, b, c, d) if on else
@@ -244,10 +243,10 @@ def _jacobi_sweeps(L: np.ndarray, max_sweeps: int):
         ring = np.concatenate((np.arange(h), np.arange(m - 1, h - 1, -1)))
         turn = np.array([0, h, *range(1, h - 1), *range(h + 1, m), h - 1])
         I, J = np.moveaxis(ring[_round_robin(p)], 2, 0).reshape(2, 1, -1)
-        WV, e, live = np.zeros((2, m, p)), np.zeros(m, dtype=int), np.ones(1, bool)
+        WV, e = np.zeros((2, m, p)), np.zeros(m, dtype=int)
         WV[:, ring[:p]] = L.T, np.eye(p)
         for _ in range(max_sweeps):
-            turns, _ = _sweep_start(WV[0], e, I, J, live)
+            turns, _ = _sweep_start(WV[0], e, I, J)
             if not turns[0]:
                 return WV[0, ring[:p]].T, e[ring[:p]], WV[1, ring[:p]].T
             for _ in range(m - 1):
@@ -259,37 +258,37 @@ def _jacobi_sweeps(L: np.ndarray, max_sweeps: int):
         f"one-sided Jacobi did not converge in {max_sweeps} sweeps")
 
 
-def _pivot_sweeps(X: np.ndarray, pivot: int, max_sweeps: int):
+def _pivot_sweeps(X: np.ndarray, pivot: int, max_sweeps: int = JACOBI_SWEEP_LIMIT):
     """One exact singular triplet of each n x p matrix of a stack:
     _jacobi_sweeps' sweeps over the pairs (pivot, j) alone, until the pivot
     column is orthogonal to every other, so V[:, pivot] is an exact right
     singular vector, W[:, pivot] scaled by 2^e its value times its left
     vector (Demmel and Veselic 1992).  The matrices move in lockstep, column
     j of matrix r and of its V (zero-padded to one length) in row r p + j
-    of one array: a sweep is one _sweep_start, ending each matrix it would
-    not rotate, and one _jacobi_step per j on the rows pivot::p and j::p.
-    Each matrix gets the bits it gets alone.  Yields (sigma, u, y = V[:,
-    pivot]) per matrix in order once all are solved, raising
-    ConvergenceFailure on reaching one not ended within max_sweeps sweeps.
+    of one array: a sweep is one _sweep_start and one _jacobi_step per j on
+    the rows pivot::p and j::p.  No step turns a matrix its check ended, so
+    each gets the bits it gets alone.  Yields (sigma, u, y = V[:, pivot]) per
+    matrix in order once all are solved, raising ConvergenceFailure on
+    reaching one that the last check still turns.
     """
     count, n, p = X.shape
     WV = np.zeros((2, count * p, max(n, p)))
     WV[0, :, :n] = np.swapaxes(X, 1, 2).reshape(count * p, n)
     WV[1, :, :p] = np.tile(np.eye(p), (count, 1))
-    e, live = np.zeros(count * p, dtype=int), np.ones(count, dtype=bool)
+    e, turns = np.zeros(count * p, dtype=int), np.ones(count, dtype=bool)
     others = [j for j in range(p) if j != pivot]
     rows = p * np.arange(count)[:, None]
     I, J = np.repeat(rows + pivot, p - 1, axis=1), rows + others
     top = slice(pivot, None, p)
     for _ in range(max_sweeps):
-        live, squares = _sweep_start(WV[0], e, I, J, live)
-        if not live.any():
+        turns, squares = _sweep_start(WV[0], e, I, J)
+        if not turns.any():
             break
         for j in others:  # row j::p turns at this step only
             WV[:, top], WV[:, j::p] = _jacobi_step(
-                WV, e, top, slice(j, None, p), live, squares[j::p])
-    for ended, w, y, exponent in zip(~live, WV[0, top, :n], WV[1, top, :p], e[top]):
-        if not ended:
+                WV, e, top, slice(j, None, p), squares[j::p])
+    for turning, w, y, exponent in zip(turns, WV[0, top, :n], WV[1, top, :p], e[top]):
+        if turning:
             raise ConvergenceFailure(
                 f"one-sided Jacobi did not converge in {max_sweeps} sweeps")
         # not w @ w, whose bits follow w's alignment; a zero u is refused later

@@ -364,6 +364,17 @@ def variant_coefficients(
     return CorrectionCoefficients(g2=g2, g3=g3, h2=h2, theta1=proj.phi1)
 
 
+def _prediction(part: SvdPartition, co: CorrectionCoefficients,
+                variant: FormulaVariant, s) -> tuple:
+    """(u~, v~, sigma~) with the corrections scaled by s, a float or a
+    column of scales: u1 + s (U2 g2) [+ s g3], v1 + s (V2 h2) and sigma1 + s
+    theta1, added in that order; g3 only with a complement the variant keeps."""
+    u = part.u1 + s * (part.U2 @ co.g2)
+    if part.has_complement and not variant.omits_complement:
+        u = u + s * co.g3
+    return u, part.v1 + s * (part.V2 @ co.h2), part.sigma1 + s * co.theta1
+
+
 def expand_triplet(
     part: SvdPartition, E, variant: FormulaVariant = FormulaVariant.CORRECTED
 ) -> TripletExpansion:
@@ -375,15 +386,12 @@ def expand_triplet(
     """
     proj = compute_projections(part, E)
     co = variant_coefficients(part, proj, variant)
-    u = part.u1 + part.U2 @ co.g2
-    if part.has_complement and not variant.omits_complement:
-        u = u + co.g3
-    v = part.v1 + part.V2 @ co.h2
+    u, v, sigma = _prediction(part, co, variant, 1.0)
     return TripletExpansion(
         u_tilde=u,
         v_tilde=v,
         sigma1=part.sigma1,
-        sigma_tilde=part.sigma1 + co.theta1,
+        sigma_tilde=sigma,
         variant=variant,
         projections=proj,
         coefficients=co,

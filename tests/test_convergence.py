@@ -401,9 +401,9 @@ def solves(monkeypatch):
         calls.append("svd")
         return real_svd(x, *args, **kwargs)
 
-    def counted_sweeps(x, pivot, max_sweeps):
+    def counted_sweeps(x, pivot, *budget):
         calls.append((pivot, len(x)))
-        return real_sweeps(x, pivot, max_sweeps)
+        return real_sweeps(x, pivot, *budget)
 
     monkeypatch.setattr(svdpert.convergence, "svd", counted_svd)
     monkeypatch.setattr(svdpert.convergence, "_pivot_sweeps", counted_sweeps)
@@ -457,7 +457,7 @@ def test_scaled_predictions_are_expand_triplet_bitwise(monkeypatch, n, p, k, tra
     (_, Eo, swapped), full, part = svdpert.convergence._decompose(x, e, k)
     j = k - 1
 
-    def unperturbed(stack, pivot, max_sweeps):
+    def unperturbed(stack, pivot, *budget):
         for _ in stack:
             yield float(full.S[j]), full.U[:, j], np.eye(full.V.shape[1])[j]
 
@@ -493,8 +493,9 @@ def test_rungs_at_a_factor_off_the_powers_of_two_fit_residuals_at(n, p, k, trans
 
 
 def test_ladder_solve_beyond_its_sweep_budget_raises(monkeypatch):
-    # the rung solve reads the budget at call time; svd keeps its own
-    monkeypatch.setattr(svdpert.convergence, "JACOBI_SWEEP_LIMIT", 1)
+    # the rung solve runs on _pivot_sweeps' default budget, which linalg
+    # owns; svd keeps its own
+    monkeypatch.setattr(svdpert.linalg._pivot_sweeps, "__defaults__", (1,))
     x, e = make_instance(6, 4, 70)
     with pytest.raises(ConvergenceFailure):
         sp.convergence_ladders(x, e, tuple(FormulaVariant))

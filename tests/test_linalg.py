@@ -434,10 +434,11 @@ def test_each_sweep_path_is_deterministic_bitwise(monkeypatch, width, x):
     "svd-0", "svd-2", "svd-12x25", "svd-60x33", "rungs-pivot-0", "rungs-pivot-2"])
 def test_sweep_start_ends_a_matrix_exactly_when_its_sweep_turns_nothing(monkeypatch,
                                                                         case):
-    # _sweep_start ends a matrix where its sweep would rotate no pair: each
-    # matrix it ends is swept once more anyway, which rotates nothing and
-    # keeps every byte, and each sweep it lets run rotates a pair of every
-    # matrix it keeps; on svd's rounds (one matrix) and on an 8-rung stack
+    # _sweep_start ends a matrix where its sweep would rotate no pair, and
+    # each sweep rotates a pair of every matrix its check keeps.  A matrix
+    # it ends is swept again, with the rungs still running or once more
+    # anyway, which rotates nothing of it and keeps every byte; on svd's
+    # rounds (one matrix) and on an 8-rung stack
     kind, _, arg = case.partition("-")
     if kind == "svd":
         x = {"0": SWEEP_INPUTS[0], "2": SWEEP_INPUTS[2],
@@ -455,17 +456,16 @@ def test_sweep_start_ends_a_matrix_exactly_when_its_sweep_turns_nothing(monkeypa
 
         def solve():
             return [np.asarray(part) for triplet in
-                    _pivot_sweeps(stack, int(arg[-1]), JACOBI_SWEEP_LIMIT)
-                    for part in triplet]
+                    _pivot_sweeps(stack, int(arg[-1])) for part in triplet]
 
     check, step = svdpert.linalg._sweep_start, svdpert.linalg._jacobi_step
     rotation = svdpert.linalg._rotation
     sweeps, forced, rotations = [], set(), []
 
-    def audited_check(W, e, I, J, live):
-        verdict, squares = check(W, e, I, J, live)
-        swept = live.copy()
-        for r in np.flatnonzero(live & ~verdict):
+    def audited_check(W, e, I, J):
+        verdict, squares = check(W, e, I, J)
+        swept = verdict.copy()
+        for r in np.flatnonzero(~verdict):
             swept[r] = r not in forced
             forced.add(r)
         sweeps.append((verdict, np.zeros_like(verdict)))
@@ -475,16 +475,19 @@ def test_sweep_start_ends_a_matrix_exactly_when_its_sweep_turns_nothing(monkeypa
         rotations.append(args)
         return rotation(*args)
 
-    def audited_step(WV, e, top, bottom, live=None, b=None):
-        # whether a pair of each matrix turns: the step on it alone takes
-        # an angle
+    def audited_step(WV, e, top, bottom, b=None):
+        # whether a pair of each matrix turns: the step on its pairs alone
+        # (a run of them, the same count for each matrix) takes an angle
         turned = sweeps[-1][1]
+        tops, bottoms = (range(*s.indices(WV.shape[1])) for s in (top, bottom))
+        q = len(tops) // len(turned)
         for r in range(len(turned)):
+            pairs = slice(q * r, q * r + q)
             rotations.clear()
-            step(WV, e, top, bottom, None if live is None else live & (
-                np.arange(len(live)) == r), b)
+            step(WV, e, *(slice(g.start, g.stop, g.step) for g in (
+                tops[pairs], bottoms[pairs])), None if b is None else b[pairs])
             turned[r] |= bool(rotations)
-        return step(WV, e, top, bottom, live, b)
+        return step(WV, e, top, bottom, b)
 
     expected = solve()
     # chunks of one pair or a few, so that the walk over them is tested
@@ -558,20 +561,41 @@ def test_pivot_sweeps_deterministic_bitwise(shape, seed):
     ys, _, v0 = warm_pivot_solve(n, p, 1, seed, rungs=4)
     stack = np.array([y @ v0 for y in ys])
     for k in range(p):
-        first, second = (list(_pivot_sweeps(stack, k, JACOBI_SWEEP_LIMIT))
-                         for _ in range(2))
-        alone = [next(_pivot_sweeps(stack[r:r + 1], k, JACOBI_SWEEP_LIMIT))
-                 for r in range(len(ys))]
-        for a, b, c in zip(first, second, alone):
-            assert a[0] == b[0] == c[0]
-            for i in (1, 2):
-                assert np.array_equal(a[i], b[i]) and np.array_equal(a[i], c[i])
-        budgets = [smallest_budget(lambda b: next(_pivot_sweeps(stack[r:r + 1], k, b)))
-                   for r in range(len(ys))]
-        for r in range(len(ys)):
-            in_stack = smallest_budget(
-                lambda b: list(itertools.islice(_pivot_sweeps(stack, k, b), r + 1)))
-            assert in_stack == max(budgets[:r + 1])
+        assert_stack_solves_each_rung_alone(stack, k)
+
+
+def assert_stack_solves_each_rung_alone(stack, k):
+    """Check test_pivot_sweeps_deterministic_bitwise's claims for pivot k;
+    returns each rung's smallest sweep budget alone."""
+    first, second = (list(_pivot_sweeps(stack, k)) for _ in range(2))
+    alone = [next(_pivot_sweeps(stack[r:r + 1], k)) for r in range(len(stack))]
+    for a, b, c in zip(first, second, alone):
+        assert a[0] == b[0] == c[0]
+        for i in (1, 2):
+            assert np.array_equal(a[i], b[i]) and np.array_equal(a[i], c[i])
+    budgets = [smallest_budget(lambda b: next(_pivot_sweeps(stack[r:r + 1], k, b)))
+               for r in range(len(stack))]
+    for r in range(len(stack)):
+        in_stack = smallest_budget(
+            lambda b: list(itertools.islice(_pivot_sweeps(stack, k, b), r + 1)))
+        assert in_stack == max(budgets[:r + 1])
+    return budgets
+
+
+@pytest.mark.parametrize("k, budgets", [
+    (1, [4, 4, 4, 4, 3, 3, 3, 3]), (3, [5, 4, 4, 4, 4, 3, 3, 3])])
+def test_pivot_sweeps_rungs_that_end_at_different_sweeps(k, budgets):
+    # verify's default 8-rung ladder on X and E from `gen --n 30 --p 9 --sv
+    # 3*0.7^j` seeds 11 and 12: its later rungs end a sweep or two before
+    # its first, so they are swept on, unturned, while the first still turns
+    sv = tuple(3.0 * 0.7**j for j in range(9))
+    x, e = (sp.matrix_with_spectrum(sp.SpectrumSpec(n=30, p=9, seed=seed,
+                                                     singular_values=sv))
+            for seed in (11, 12))
+    (xo, eo, _), full, _ = svdpert.convergence._decompose(x, e, k)
+    eps = [1e-2 * 0.5**i for i in range(8)]
+    stack = xo @ full.V + np.multiply.outer(eps, eo @ full.V)
+    assert assert_stack_solves_each_rung_alone(stack, k - 1) == budgets
 
 
 def test_every_rotation_comes_from_the_one_formula(monkeypatch):
