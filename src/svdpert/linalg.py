@@ -20,7 +20,6 @@ entries that neither are nor become subnormal.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -39,6 +38,8 @@ _BATCH_MIN_WIDTH = 8
 _CHECK_CELLS = 1 << 16
 # Householder QR factors, and applies, its reflectors this many at a time
 _PANEL = 16
+# 2^-k for k < 512, exact; for d >= -511, 2^d and 2^(2d) are normal doubles
+_POW2 = [math.ldexp(1.0, -k) for k in range(512)]
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -98,16 +99,26 @@ def _rotation(a: float, b: float, c: float, d: int):
     tan = t = sign(zeta) / (|zeta| + hypot(1, zeta)), zeta = (y.y - x.x) /
     (2 x.y), evaluated as q = t / 2^d from z = 2^d zeta with x the
     larger-scaled column (d <= 0), so that no factor above 1 is formed; a
-    pair with d > 0 is mirrored, which negates the sine."""
+    pair with d > 0 is mirrored, which negates the sine.  The scalings by
+    2^d and 2^(2d) are products by exact powers of two from _POW2 while
+    2^(2d) is normal, math.ldexp beyond: both round the same exact value."""
     mirror = d > 0
     if mirror:
         a, b, d = b, a, -d
-    z = (math.ldexp(b, 2 * d) - a) / (2.0 * c)
-    q = math.copysign(1.0, z) / (abs(z) + math.hypot(math.ldexp(1.0, d), z))
-    t = math.ldexp(q, d)
+    if d >= -511:
+        s = _POW2[-d]
+        s2 = s * s
+        z = (b * s2 - a) / (2.0 * c)
+        q = math.copysign(1.0, z) / (abs(z) + math.hypot(s, z))
+        t = q * s
+    else:
+        s2 = None  # 2^(2d) is subnormal or 0
+        z = (math.ldexp(b, 2 * d) - a) / (2.0 * c)
+        q = math.copysign(1.0, z) / (abs(z) + math.hypot(math.ldexp(1.0, d), z))
+        t = math.ldexp(q, d)
     cs = 1.0 / math.sqrt(1.0 + t * t)
     big = cs * q
-    sn, small = cs * t, math.ldexp(big, 2 * d)
+    sn, small = cs * t, math.ldexp(big, 2 * d) if s2 is None else big * s2
     if mirror:
         return cs, -big, -sn, -small
     return cs, small, sn, big
@@ -199,15 +210,18 @@ def _jacobi_step(WV, e, top, bottom, b=None):
     np.multiply(x, y, out=products[1])
     if b is None:
         np.multiply(y, y, out=products[2])
-    G = np.add.reduce(products, axis=2)
-    a, c, b = G[0], G[1], G[2] if b is None else b
-    active = np.abs(c) > JACOBI_TOL * np.sqrt(a) * np.sqrt(b)
-    if not active.any():
+    G = np.add.reduce(products, axis=2).tolist()
+    squares = G[2] if b is None else b.tolist()
+    factors, turned = [], False
+    for a, b, c, d in zip(G[0], squares, G[1], (e[bottom] - e[top]).tolist()):
+        if abs(c) > JACOBI_TOL * math.sqrt(a) * math.sqrt(b):
+            factors.extend(_rotation(a, b, c, d))
+            turned = True
+        else:
+            factors.extend((1.0, 0.0, 0.0, 0.0))
+    if not turned:
         return WV[:, top], WV[:, bottom]
-    factors = map(lambda a, b, c, d, on: _rotation(a, b, c, d) if on else
-                  (1.0, 0.0, 0.0, 0.0), a.tolist(), b.tolist(), c.tolist(),
-                  (e[bottom] - e[top]).tolist(), active.tolist())
-    F = np.fromiter(chain.from_iterable(factors), float).reshape(-1, 4).T[..., None]
+    F = np.array(factors).reshape(-1, 4).T[..., None]
     # F = (cs, s_up, sn, s_down): F[1:3] and F[3:1:-1] pair with (W, V)
     x, y = WV[:, top], WV[:, bottom]
     return F[0] * x - F[1:3] * y, F[3:1:-1] * x + F[0] * y

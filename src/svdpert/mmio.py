@@ -35,7 +35,8 @@ def _fmt(x: float) -> str:
 
 
 # _fmt17 takes the numpy kernel from this many entries it covers on (below,
-# one %-format pass is faster); write_matrix formats this many at a time
+# one %-format pass is faster); write_matrix formats at most this many at a
+# time
 _KERNEL_MIN = 256
 _CHUNK = 4096
 
@@ -137,7 +138,7 @@ def _fmt17(x: np.ndarray, end: bytes) -> bytes:
     if len(rest):
         text = np.frombuffer((b"%-29.17g" * len(rest)) % tuple(x[rest].tolist()), np.uint8)
         out[rest, :29] = (text * (text != 32)).reshape(-1, 29)
-    return out[out != 0].tobytes()
+    return out.tobytes().translate(None, b"\0")
 
 
 def _fmt_each(values, end: str) -> str:
@@ -149,11 +150,16 @@ def write_matrix(path, a) -> None:
     """Write a dense real matrix: banner, dimensions line, then the entries
     column-major (no comment lines; read_matrix skips any it finds)."""
     m = as_matrix(a, "matrix")
-    entries = m.ravel(order="F")
+    rows, cols = m.shape
+    # blocks of whole columns, or of one column's pieces, of at most _CHUNK
+    # entries each, so that no layout of m is copied whole
+    width = max(1, _CHUNK // rows)
     with open(path, "wb") as fh:
-        fh.write(f"{BANNER}\n{m.shape[0]} {m.shape[1]}\n".encode("ascii"))
-        for start in range(0, len(entries), _CHUNK):
-            fh.write(_fmt17(entries[start:start + _CHUNK], b"\n"))
+        fh.write(f"{BANNER}\n{rows} {cols}\n".encode("ascii"))
+        for j in range(0, cols, width):
+            for i in range(0, rows, _CHUNK):
+                block = m[i:i + _CHUNK, j:j + width]
+                fh.write(_fmt17(block.ravel(order="F"), b"\n"))
 
 
 def read_matrix(path) -> np.ndarray:

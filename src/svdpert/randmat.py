@@ -16,12 +16,14 @@ on any platform or runtime, independent of library versions:
   ``sqrt(-2 ln u1) * cos(2 pi u2)`` and cache ``sqrt(-2 ln u1) * sin(2 pi u2)``
   as the spare for the next draw from the same generator.  The spare
   carries across calls: ``matrix_with_spectrum`` draws two matrices from one
-  stream.  Arithmetic is done on arrays, but ``log``, ``cos`` and ``sin``
-  are Python's ``math`` functions applied per element, since numpy's
-  vectorised ones may differ from them in the last bit.
+  stream.  Arithmetic is done on arrays, but ``log`` is Python's
+  ``math.log`` and each pair's ``(r cos, r sin)`` is one ``cmath.rect``
+  call, applied per element, since numpy's vectorised ones may differ
+  from them in the last bit.
 * matrices are filled column by column.
 """
 
+import cmath
 import math
 import numbers
 from dataclasses import dataclass
@@ -96,8 +98,10 @@ class SplitMix64:
         theta = (2.0 * math.pi * (w[1::2] / _TWO53)).tolist()
         vals = np.empty(len(spare) + 2 * pairs)
         vals[:len(spare)] = spare
-        vals[len(spare)::2] = r * np.fromiter(map(math.cos, theta), float, pairs)
-        vals[len(spare) + 1::2] = r * np.fromiter(map(math.sin, theta), float, pairs)
+        # rect(r, theta) is (r * cos(theta), r * sin(theta)) on libm's cos and
+        # sin, as math's, and (r, r * 0.0) at theta = 0: the same products
+        vals[len(spare):] = np.fromiter(
+            map(cmath.rect, r.tolist(), theta), complex, pairs).view(float)
         self._spare = float(vals[need]) if vals.size > need else None
         return vals[:need].reshape((rows, cols), order="F")
 

@@ -16,7 +16,8 @@ import svdpert as sp
 import svdpert.linalg
 from svdpert.errors import ConvergenceFailure, DimensionMismatch, RankDeficient
 from svdpert.linalg import (
-    JACOBI_SWEEP_LIMIT, _pivot_sweeps, _preconditioning_qr, _reflect, _round_robin)
+    JACOBI_SWEEP_LIMIT, _pivot_sweeps, _preconditioning_qr, _reflect, _rotation,
+    _round_robin)
 
 
 # --------------------------------------------------------------------- svd
@@ -633,6 +634,49 @@ def test_every_rotation_comes_from_the_one_formula(monkeypatch):
         with pytest.raises(ConvergenceFailure):
             solve()
         monkeypatch.setattr(svdpert.linalg, "_rotation", rotation)
+
+
+def ldexp_rotation(a, b, c, d):
+    """_rotation with every power of two applied by math.ldexp."""
+    mirror = d > 0
+    if mirror:
+        a, b, d = b, a, -d
+    z = (math.ldexp(b, 2 * d) - a) / (2.0 * c)
+    q = math.copysign(1.0, z) / (abs(z) + math.hypot(math.ldexp(1.0, d), z))
+    t = math.ldexp(q, d)
+    cs = 1.0 / math.sqrt(1.0 + t * t)
+    big = cs * q
+    sn, small = cs * t, math.ldexp(big, 2 * d)
+    if mirror:
+        return cs, -big, -sn, -small
+    return cs, small, sn, big
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.floats(min_value=0.0, max_value=1e300, exclude_min=True),
+       st.floats(min_value=0.0, max_value=1e300, exclude_min=True),
+       st.floats(min_value=-1e300, max_value=1e300).filter(bool),
+       st.integers(min_value=-1100, max_value=1100))
+@example(a=0.75, b=0.6, c=0.3, d=0)
+@example(a=0.75, b=0.6, c=-0.3, d=511)
+@example(a=0.75, b=0.6, c=0.3, d=-511)
+@example(a=0.75, b=0.6, c=0.3, d=512)
+@example(a=0.75, b=0.6, c=-0.3, d=-512)
+@example(a=0.75, b=0.6, c=0.3, d=537)
+@example(a=0.75, b=0.6, c=0.3, d=-537)
+# 2^300 2^-1200 is 2^-900 = a, where a product by 2^-600 squared is 0
+@example(a=2.0**-900, b=2.0**300, c=1.0, d=-600)
+def test_rotation_scales_as_ldexp_does(a, b, c, d):
+    # _rotation's products by exact powers of two round as math.ldexp does,
+    # so all four factors keep their bits, the sign of a zero included (or
+    # both divide by zero, where z and 2^d are 0, which no sweep meets)
+    def outcome(rotation):
+        try:
+            return [x.hex() for x in rotation(a, b, c, d)]
+        except ZeroDivisionError:
+            return "ZeroDivisionError"
+
+    assert outcome(_rotation) == outcome(ldexp_rotation)
 
 
 def test_pivot_sweep_limit_raises():

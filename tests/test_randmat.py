@@ -4,6 +4,8 @@ The PRNG oracle is an independent pure-int reimplementation of the
 documented update, plus the published seed-0 test vector.
 """
 
+import cmath
+import itertools
 import math
 
 import numpy as np
@@ -62,6 +64,24 @@ def test_normal_pair_matches_reference_arithmetic():
     gen = sp.SplitMix64(seed)
     assert gen.next_normal() == z0
     assert gen.next_normal() == z1
+
+
+def test_rect_is_the_products_of_cos_and_sin():
+    # normal_matrix takes each pair's (r cos theta, r sin theta) from one
+    # cmath.rect call, bitwise math's products: on drawn radii and angles,
+    # and on every pair of special ones, theta = 0 and the largest angle
+    # below 2 pi among them
+    gen = sp.SplitMix64(17)
+    radii = np.abs(gen.normal_matrix(4000, 1)[:, 0]).tolist()
+    angles = (2.0 * math.pi * (gen.normal_matrix(4000, 1)[:, 0] % 1.0)).tolist()
+    special = itertools.product(
+        [0.0, -0.0, 5e-324, 1e-300, 1.0, 8.5, 1e300],
+        [0.0, -0.0, math.pi / 2, math.pi, 2.0 * math.pi * (1.0 - 2.0**-53),
+         math.nextafter(2.0 * math.pi, 0.0)])
+    for r, theta in [*zip(radii, angles), *special]:
+        z = cmath.rect(r, theta)
+        assert (z.real.hex(), z.imag.hex()) == (
+            (r * math.cos(theta)).hex(), (r * math.sin(theta)).hex()), (r, theta)
 
 
 def test_normals_are_standardish():
