@@ -24,7 +24,6 @@ perturbation is too large to track and raises TripletMatchAmbiguous.
 """
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -63,41 +62,46 @@ R2_GATE = 0.98
 ORDER_SEPARATION = 0.5
 
 
-@dataclass(frozen=True)
-class ResidualSample:
-    """Prediction-vs-exact residuals at one perturbation size."""
+class ResidualSample(NamedTuple("ResidualSample", [
+        ("epsilon", float), ("res_u", float), ("res_v", float),
+        ("res_sigma", float)])):
+    """Prediction-vs-exact residuals at one perturbation size; every
+    construction checks that they are finite and nonnegative."""
 
-    epsilon: float
-    res_u: float
-    res_v: float
-    res_sigma: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        vals = (self.epsilon, self.res_u, self.res_v, self.res_sigma)
-        if not all(math.isfinite(v) for v in vals):
+    def __new__(cls, *fields, **named):
+        sample = super().__new__(cls, *fields, **named)
+        if not all(math.isfinite(v) for v in sample):
             raise ValueError("residual sample contains non-finite values")
-        if self.epsilon < 0.0:
+        if sample.epsilon < 0.0:
             raise ValueError("epsilon must be nonnegative")
-        if min(self.res_u, self.res_v, self.res_sigma) < 0.0:
+        if min(sample[1:]) < 0.0:
             raise ValueError("residuals must be nonnegative")
+        return sample
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through _make: check there too
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Fitted log-log slopes (one per metric) over a residual ladder."""
+class ConvergenceReport(NamedTuple("ConvergenceReport", [
+        ("variant", FormulaVariant), ("samples", tuple),
+        ("order_u", float), ("order_v", float), ("order_sigma", float),
+        ("r2_u", float), ("r2_v", float), ("r2_sigma", float)])):
+    """Fitted log-log slopes (one per metric) over a residual ladder; every
+    construction stores the samples as a tuple and checks their ladder."""
 
-    variant: FormulaVariant
-    samples: tuple
-    order_u: float
-    order_v: float
-    order_sigma: float
-    r2_u: float
-    r2_v: float
-    r2_sigma: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
-        _check_ladder([s.epsilon for s in self.samples])
+    def __new__(cls, variant, samples, *fits, **named):
+        samples = tuple(samples)
+        _check_ladder([s.epsilon for s in samples])
+        return super().__new__(cls, variant, samples, *fits, **named)
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through _make: check there too
+        return cls(*fields)
 
     @property
     def min_r2(self) -> float:

@@ -18,8 +18,8 @@ entries that neither are nor become subnormal.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,8 +58,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class Svd:
+class Svd(NamedTuple):
     """Thin decomposition of an n x p matrix: S holds the r = min(n, p)
     singular values in descending order, U is n x r and V is p x r.
 

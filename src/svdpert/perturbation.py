@@ -41,7 +41,6 @@ that cannot even be formed as matrix products.
 """
 
 import math
-from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple
 
@@ -84,8 +83,7 @@ class FormulaVariant(Enum):
         return self in (FormulaVariant.U3_OMITTED, FormulaVariant.BOTH_DEFECTS)
 
 
-@dataclass(frozen=True)
-class SvdPartition:
+class SvdPartition(NamedTuple):
     """A thin SVD split around the selected triplet (1-based index k).
 
     u1/v1/sigma1 are the selected triplet; U2/V2/Sigma2 hold the other p-1
@@ -115,8 +113,7 @@ class SvdPartition:
         return self.n > self.p or not self.Sigma2.all()
 
 
-@dataclass(frozen=True)
-class Projections:
+class Projections(NamedTuple):
     """E projected onto the partition's bases (the data the corrections
     are built from).  f31 is the n-vector (I - Up Up^T) E v1, all zero when
     the partition has no complement.  All fields vanish when E = 0."""
@@ -127,8 +124,7 @@ class Projections:
     f31: np.ndarray
 
 
-@dataclass(frozen=True)
-class CorrectionCoefficients:
+class CorrectionCoefficients(NamedTuple):
     """First-order coefficients of the triplet expansion; g3 = f31 / sigma1
     is an n-vector."""
 
@@ -138,8 +134,7 @@ class CorrectionCoefficients:
     theta1: float
 
 
-@dataclass(frozen=True)
-class TripletExpansion:
+class TripletExpansion(NamedTuple):
     """Assembled first-order prediction for the perturbed triplet, with the
     projections and coefficients it was built from (those belong to the
     taller-or-square orientation, also when u~ and v~ were swapped back)."""
@@ -410,7 +405,7 @@ def expand_matrix(
     part = partition_svd(svd(Xo), k)
     exp = expand_triplet(part, Eo, variant)
     if swapped:
-        return replace(exp, u_tilde=exp.v_tilde, v_tilde=exp.u_tilde)
+        return exp._replace(u_tilde=exp.v_tilde, v_tilde=exp.u_tilde)
     return exp
 
 
@@ -424,7 +419,7 @@ def transpose_dual_expansion(X, E, k: int = 1) -> TripletExpansion:
     Xm = as_matrix(X, "X")
     Em = as_matrix(E, "E")
     dual = expand_matrix(Xm.T, Em.T, k, FormulaVariant.CORRECTED)
-    return replace(dual, u_tilde=dual.v_tilde, v_tilde=dual.u_tilde)
+    return dual._replace(u_tilde=dual.v_tilde, v_tilde=dual.u_tilde)
 
 
 def shape_audit_as_printed(n: int, p: int) -> tuple:

@@ -26,7 +26,7 @@ on any platform or runtime, independent of library versions:
 import cmath
 import math
 import numbers
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,34 +106,34 @@ class SplitMix64:
         return vals[:need].reshape((rows, cols), order="F")
 
 
-@dataclass(frozen=True)
-class SpectrumSpec:
+class SpectrumSpec(NamedTuple("SpectrumSpec", [
+        ("n", int), ("p", int), ("singular_values", tuple), ("seed", int)])):
     """A target spectrum: n x p (taller or square) with p prescribed
-    singular values in descending order."""
+    singular values in descending order.  Every construction checks the
+    fields and normalizes them to ints and a tuple of floats."""
 
-    n: int
-    p: int
-    singular_values: tuple
-    seed: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (_is_int(self.n) and _is_int(self.p)):
+    def __new__(cls, n, p, singular_values, seed):
+        if not (_is_int(n) and _is_int(p)):
             raise ValueError("dims must be integers")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "p", int(self.p))
-        if not self.n >= self.p >= 1:
-            raise ValueError(f"need n >= p >= 1, got n={self.n}, p={self.p}")
-        sv = tuple(float(v) for v in self.singular_values)
-        object.__setattr__(self, "singular_values", sv)
-        if len(sv) != self.p:
-            raise ValueError(f"expected {self.p} singular values, got {len(sv)}")
+        n, p = int(n), int(p)
+        if not n >= p >= 1:
+            raise ValueError(f"need n >= p >= 1, got n={n}, p={p}")
+        sv = tuple(float(v) for v in singular_values)
+        if len(sv) != p:
+            raise ValueError(f"expected {p} singular values, got {len(sv)}")
         if not all(math.isfinite(v) and v >= 0.0 for v in sv):
             raise ValueError("singular values must be finite and nonnegative")
         if any(sv[i] < sv[i + 1] for i in range(len(sv) - 1)):
             raise ValueError("singular values must be in descending order")
-        if self.p >= 2 and sv[0] > 0.0 and sv[0] == sv[1]:
+        if p >= 2 and sv[0] > 0.0 and sv[0] == sv[1]:
             raise ValueError("leading pair must be strictly separated")
-        object.__setattr__(self, "seed", _check_seed(self.seed))
+        return super().__new__(cls, n, p, sv, _check_seed(seed))
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through _make: check there too
+        return cls(*fields)
 
 
 def matrix_with_spectrum(spec: SpectrumSpec) -> np.ndarray:

@@ -582,16 +582,42 @@ def test_parser_built_once_keeps_calls_apart(tmp_path, monkeypatch):
     assert cached[4:] == fresh[2:]
 
 
-def test_module_entry_point_subprocess():
-    # the child imports svdpert from this checkout's src/, installed or not
+def run_child(*args):
+    """Run a fresh interpreter with args; it imports svdpert from this
+    checkout's src/, installed or not."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "svdpert", "errata"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         timeout=300,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entry_point_subprocess():
+    proc = run_child("-m", "svdpert", "errata")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0].startswith("item,formula,defect")
+
+
+def test_import_builds_no_dataclass():
+    # the records are named tuples: importing the CLI after numpy and the
+    # standard modules it needs imports no dataclasses module and builds no
+    # dataclass, whose generated code would run at every import
+    proc = run_child("-c", """
+import argparse, enum, sys, typing
+import numpy
+before = set(sys.modules)
+import svdpert.cli
+new = set(sys.modules) - before
+classes = [c for m in new if m.startswith("svdpert")
+           for c in vars(sys.modules[m]).values()
+           if isinstance(c, type) and c.__module__.startswith("svdpert")]
+assert "dataclasses" not in new, sorted(new)
+assert len(classes) > 8
+print([c.__name__ for c in classes if hasattr(c, "__dataclass_fields__")])
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -5,7 +5,9 @@ measurements are validated against the closed-form rotation of a
 symmetric 2x2 perturbation.
 """
 
+import copy
 import math
+import pickle
 import re
 
 import numpy as np
@@ -49,7 +51,7 @@ def test_align_sign_errors():
         sp.align_sign(np.array([1.0, 0.0]), np.array([1.0]))
 
 
-# ---------------------------------------------------------- residual sample
+# ------------------------------------------------------------------ records
 
 def test_residual_sample_validation():
     sp.ResidualSample(epsilon=0.0, res_u=0.0, res_v=0.0, res_sigma=0.0)
@@ -59,6 +61,69 @@ def test_residual_sample_validation():
         sp.ResidualSample(epsilon=1.0, res_u=-1e-9, res_v=0.0, res_sigma=0.0)
     with pytest.raises(ValueError):
         sp.ResidualSample(epsilon=1.0, res_u=np.nan, res_v=0.0, res_sigma=0.0)
+
+
+LADDER = tuple(sp.ResidualSample(e, e * e, e * e, e * e)
+               for e in (1e-2, 5e-3, 2.5e-3, 1.25e-3))
+SPEC = sp.SpectrumSpec(5, 3, (3.0, 2.0, 1.0), 0)
+REPORT = sp.ConvergenceReport(FormulaVariant.CORRECTED, LADDER,
+                              2.0, 2.0, 2.0, 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("record, bad", [
+    (SPEC, {"n": 0}),
+    (SPEC, {"singular_values": (1.0, 2.0, 3.0)}),
+    (SPEC, {"seed": -1}),
+    (LADDER[0], {"res_u": -1.0}),
+    (LADDER[0], {"epsilon": math.inf}),
+    (REPORT, {"samples": list(LADDER[:3])}),
+    (REPORT, {"samples": LADDER[::-1]}),
+], ids=lambda v: "-".join(v) if isinstance(v, dict) else type(v).__name__)
+def test_checking_records_check_every_construction_path(record, bad):
+    # each path that builds a record runs its checks: _replace through
+    # _make, copy and pickle through __new__
+    cls = type(record)
+    fields = {**record._asdict(), **bad}
+    invalid = tuple(fields.values())
+    builds = (lambda: cls(**fields), lambda: cls(*invalid),
+              lambda: record._replace(**bad), lambda: cls._make(invalid),
+              lambda: copy.copy(tuple.__new__(cls, invalid)),
+              lambda: pickle.loads(pickle.dumps(tuple.__new__(cls, invalid))))
+    for build in builds:
+        with pytest.raises(ValueError):
+            build()
+    for same in (cls(**record._asdict()), cls(*record), record._replace(),
+                 cls._make(record), copy.copy(record),
+                 pickle.loads(pickle.dumps(record))):
+        assert type(same) is cls and same == record
+
+
+def test_checking_records_normalize_on_replace():
+    spec = SPEC._replace(n=np.int64(6), singular_values=[3, 2, 1])
+    # equality is tuple equality
+    assert spec == (6, 3, (3.0, 2.0, 1.0), 0)
+    assert type(spec.n) is int
+    assert all(type(v) is float for v in spec.singular_values)
+    assert type(REPORT._replace(samples=list(LADDER)).samples) is tuple
+
+
+def test_records_are_immutable_tuples():
+    X, E = make_instance(5, 3, 3)
+    full = sp.svd(X)
+    part = sp.partition_svd(full, 1)
+    exp = sp.expand_triplet(part, 1e-3 * E)
+    report = sp.convergence_ladder(X, E)
+    records = (full, part, exp.projections, exp.coefficients, exp, SPEC,
+               report.samples[0], report)
+    assert len({type(r) for r in records}) == 8
+    for record in records:
+        assert isinstance(record, tuple)
+        for name in (*record._fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+    # unpacks as numpy's SVD result does
+    U, S, V = full
+    assert U is full.U and S is full.S and V is full.V
 
 
 # ------------------------------------------------------------- residuals_at

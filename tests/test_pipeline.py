@@ -126,9 +126,15 @@ def test_errata_confirms_every_row(shape, seed):
     assert all(row.endswith(",confirmed") for row in rows), stdout
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "row 5 separates by 0.415 < ORDER_SEPARATION: corrected order_v 1.9992 "
-    "against sign-flipped 1.5838; ROADMAP item 13"))
-def test_errata_confirms_every_row_at_a_known_failing_seed():
-    # a seed test_errata_confirms_every_row can draw
-    assert sp.errata_rows(3, 2, 10792114)[1] is None
+@pytest.mark.parametrize("n, p, seed", [
+    pytest.param(3, 2, 10792114, marks=pytest.mark.xfail(strict=True, reason=(
+        "row 5 separates by 0.415 < ORDER_SEPARATION: corrected order_v "
+        "1.9992 against sign-flipped 1.5838; ROADMAP items 13 and 18"))),
+    pytest.param(8, 2, 10684037518607271426, marks=pytest.mark.xfail(
+        strict=True, reason=(
+            "row 5 separates by 0.371 < ORDER_SEPARATION: corrected order_v "
+            "1.9997 against sign-flipped 1.6289; ROADMAP items 13 and 18"))),
+])
+def test_errata_confirms_every_row_at_a_known_failing_seed(n, p, seed):
+    # seeds test_errata_confirms_every_row can draw
+    assert sp.errata_rows(n, p, seed)[1] is None
