@@ -17,6 +17,7 @@ from .convergence import (
     R2_GATE,
     ConvergenceReport,
     ErrataRow,
+    MetricFit,
     ResidualSample,
     align_sign,
     convergence_ladder,

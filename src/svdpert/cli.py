@@ -140,9 +140,9 @@ def _cmd_verify(args) -> None:
         write_report_csv(args.out, report)
     print(f"variant: {report.variant.value}")
     print(f"count: {len(report.samples)}")
-    for metric in ("u", "v", "sigma"):
-        print(f"order_{metric}: {_fmt(getattr(report, 'order_' + metric))}")
-        print(f"r2_{metric}: {_fmt(getattr(report, 'r2_' + metric))}")
+    for fit in report.fits:
+        print(f"order_{fit.metric}: {_fmt(fit.order)}")
+        print(f"r2_{fit.metric}: {_fmt(fit.r2)}")
     if report.refusal is not None:
         raise report.refusal
 

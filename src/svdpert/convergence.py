@@ -55,11 +55,13 @@ from .randmat import SpectrumSpec, SplitMix64, matrix_with_spectrum
 # excluded from slope fits; MATCH_TOL is the minimum |overlap| for tracking
 # a triplet across the perturbation.  A report certifies when every fit
 # reaches r2 >= R2_GATE; errata confirms a defect whose variant's order
-# lies at least ORDER_SEPARATION below the corrected form's.
+# lies at least ORDER_SEPARATION below the corrected form's.  A report fits
+# each name of METRICS, in order, to ResidualSample.res_<name>.
 FLOOR_TOL = 1e-13
 MATCH_TOL = 0.7
 R2_GATE = 0.98
 ORDER_SEPARATION = 0.5
+METRICS = ("u", "v", "sigma")
 
 
 class ResidualSample(NamedTuple("ResidualSample", [
@@ -85,27 +87,40 @@ class ResidualSample(NamedTuple("ResidualSample", [
         return cls(*fields)
 
 
+class MetricFit(NamedTuple):
+    """One metric's fitted log-log slope over a residual ladder, and its r2."""
+
+    metric: str
+    order: float
+    r2: float
+
+
 class ConvergenceReport(NamedTuple("ConvergenceReport", [
-        ("variant", FormulaVariant), ("samples", tuple),
-        ("order_u", float), ("order_v", float), ("order_sigma", float),
-        ("r2_u", float), ("r2_v", float), ("r2_sigma", float)])):
-    """Fitted log-log slopes (one per metric) over a residual ladder; every
-    construction stores the samples as a tuple and checks their ladder."""
+        ("variant", FormulaVariant), ("samples", tuple), ("fits", tuple)])):
+    """A residual ladder and its MetricFits, in METRICS order; every
+    construction stores both as tuples and checks the ladder."""
 
     __slots__ = ()
 
-    def __new__(cls, variant, samples, *fits, **named):
+    def __new__(cls, variant, samples, fits):
         samples = tuple(samples)
         _check_ladder([s.epsilon for s in samples])
-        return super().__new__(cls, variant, samples, *fits, **named)
+        return super().__new__(cls, variant, samples, tuple(fits))
 
     @classmethod
     def _make(cls, fields):  # _replace builds through _make: check there too
         return cls(*fields)
 
+    order_u = property(lambda self: self.fits[0].order)
+    order_v = property(lambda self: self.fits[1].order)
+    order_sigma = property(lambda self: self.fits[2].order)
+    r2_u = property(lambda self: self.fits[0].r2)
+    r2_v = property(lambda self: self.fits[1].r2)
+    r2_sigma = property(lambda self: self.fits[2].r2)
+
     @property
     def min_r2(self) -> float:
-        return min(self.r2_u, self.r2_v, self.r2_sigma)
+        return min(fit.r2 for fit in self.fits)
 
     @property
     def refusal(self) -> FitUnreliable | None:
@@ -258,42 +273,30 @@ def fit_loglog_slope(epsilons, residuals):
 
 def fit_report(variant: FormulaVariant, samples,
                sigma_max: float = 1.0) -> ConvergenceReport:
-    """Fit per-metric orders over a residual ladder.
+    """Fit one MetricFit per metric of METRICS over a residual ladder.
 
-    Samples in the noise floor are excluded per metric: res_u and res_v
-    are unit-free and floored at FLOOR_TOL, while res_sigma carries the
-    units of X and is floored at FLOOR_TOL * sigma_max, the largest
-    singular value of X, so the fit does not change when X and the ladder
-    are scaled together.  Fewer than 3 survivors for any metric raises
-    InsufficientSamples, naming the floor and the floored epsilons.
+    Samples in the noise floor are excluded per metric: the vector
+    residuals are unit-free and floored at FLOOR_TOL, while res_sigma
+    carries the units of X and is floored at FLOOR_TOL * sigma_max, the
+    largest singular value of X, so the fit does not change when X and
+    the ladder are scaled together.  Fewer than 3 survivors for any metric
+    raises InsufficientSamples, naming the floor and the floored epsilons.
     """
     samples = tuple(samples)
-    floors = {"res_u": FLOOR_TOL, "res_v": FLOOR_TOL,
-              "res_sigma": FLOOR_TOL * sigma_max}
-    orders = {}
-    r2s = {}
-    for metric, floor in floors.items():
-        kept = [s for s in samples if getattr(s, metric) > floor]
+    fits = []
+    for metric in METRICS:
+        field = "res_" + metric
+        floor = FLOOR_TOL * (sigma_max if metric == "sigma" else 1.0)
+        kept = [s for s in samples if getattr(s, field) > floor]
         if len(kept) < 3:
             floored = ", ".join(f"{s.epsilon:g}" for s in samples
-                                if getattr(s, metric) <= floor)
+                                if getattr(s, field) <= floor)
             raise InsufficientSamples(
-                f"{metric}: only {len(kept)} samples above the noise floor "
-                f"{floor:.3g}; at or below it at epsilon {floored}"
-            )
-        orders[metric], r2s[metric] = fit_loglog_slope(
-            [s.epsilon for s in kept], [getattr(s, metric) for s in kept]
-        )
-    return ConvergenceReport(
-        variant=variant,
-        samples=samples,
-        order_u=orders["res_u"],
-        order_v=orders["res_v"],
-        order_sigma=orders["res_sigma"],
-        r2_u=r2s["res_u"],
-        r2_v=r2s["res_v"],
-        r2_sigma=r2s["res_sigma"],
-    )
+                f"{field}: only {len(kept)} samples above the noise floor "
+                f"{floor:.3g}; at or below it at epsilon {floored}")
+        fits.append(MetricFit(metric, *fit_loglog_slope(
+            [s.epsilon for s in kept], [getattr(s, field) for s in kept])))
+    return ConvergenceReport(variant, samples, fits)
 
 
 def convergence_ladders(X, E_dir, variants, k: int = 1, eps0: float = 1e-2,

@@ -14,9 +14,9 @@ with 1e-6 < |x| < 1e16, and one %-format pass the rest (zeros,
 subnormals, |x| <= 1e-6 and |x| >= 1e16) and any input too short to pay
 for the kernel.
 
-The report CSV has header ``variant,epsilon,res_u,res_v,res_sigma``, one
-data row per ladder sample (epsilon descending), and three footer rows
-``order_u,<slope>,<r2>`` / ``order_v,...`` / ``order_sigma,...``.
+The report CSV has a header of ``variant`` and ResidualSample's fields,
+one data row per ladder sample (epsilon descending), and one footer row
+``order_<metric>,<slope>,<r2>`` per fit of the report, in its order.
 """
 
 import functools
@@ -24,6 +24,7 @@ import math
 
 import numpy as np
 
+from .convergence import ResidualSample
 from .errors import ParseError, UnsupportedFormat
 from .linalg import as_matrix
 
@@ -244,14 +245,8 @@ def read_matrix(path) -> np.ndarray:
 
 def write_report_csv(path, report) -> None:
     """Write a convergence report (see module docstring for the schema)."""
-    lines = ["variant,epsilon,res_u,res_v,res_sigma"]
-    for s in report.samples:
-        lines.append(
-            f"{report.variant.value},{_fmt(s.epsilon)},{_fmt(s.res_u)},"
-            f"{_fmt(s.res_v)},{_fmt(s.res_sigma)}"
-        )
-    lines.append(f"order_u,{_fmt(report.order_u)},{_fmt(report.r2_u)}")
-    lines.append(f"order_v,{_fmt(report.order_v)},{_fmt(report.r2_v)}")
-    lines.append(f"order_sigma,{_fmt(report.order_sigma)},{_fmt(report.r2_sigma)}")
+    lines = [",".join(("variant", *ResidualSample._fields))]
+    lines += (",".join((report.variant.value, *map(_fmt, s))) for s in report.samples)
+    lines += (f"order_{f.metric},{_fmt(f.order)},{_fmt(f.r2)}" for f in report.fits)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

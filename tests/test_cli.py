@@ -313,6 +313,30 @@ def test_verify_r2_gate_exits_4(tmp_path, monkeypatch):
     assert len(out.read_text().splitlines()) == 1 + 8 + 3
 
 
+def test_verify_prints_and_writes_every_fit_of_the_report(tmp_path, monkeypatch):
+    # verify and its CSV loop over report.fits, so a fourth metric reaches
+    # both with no other edit
+    x, e = write_benchmark(tmp_path)
+    ladder = svdpert.cli.convergence_ladder
+
+    def with_w(*args, **kwargs):
+        report = ladder(*args, **kwargs)
+        return report._replace(fits=(*report.fits, sp.MetricFit("w", 1.25, 0.99)))
+
+    runs = []
+    for patch in (ladder, with_w):
+        monkeypatch.setattr(svdpert.cli, "convergence_ladder", patch)
+        out = tmp_path / f"{patch.__name__}.csv"
+        code, stdout, err = run_cli(
+            ["verify", "--x", str(x), "--edir", str(e), "--out", str(out)]
+        )
+        assert code == 0, err
+        runs.append((stdout, out.read_text()))
+    (stdout, csv), (stdout_w, csv_w) = runs
+    assert stdout_w == stdout + "order_w: %.17g\nr2_w: %.17g\n" % (1.25, 0.99)
+    assert csv_w == csv + "order_w,%.17g,%.17g\n" % (1.25, 0.99)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=-900, max_value=900))
 @example(j=900)

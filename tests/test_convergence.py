@@ -20,6 +20,7 @@ from helpers import make_instance, run_cli
 import svdpert as sp
 import svdpert.convergence
 from svdpert import FormulaVariant
+from svdpert.convergence import METRICS
 from svdpert.errors import (
     ConvergenceFailure,
     DimensionMismatch,
@@ -67,7 +68,7 @@ LADDER = tuple(sp.ResidualSample(e, e * e, e * e, e * e)
                for e in (1e-2, 5e-3, 2.5e-3, 1.25e-3))
 SPEC = sp.SpectrumSpec(5, 3, (3.0, 2.0, 1.0), 0)
 REPORT = sp.ConvergenceReport(FormulaVariant.CORRECTED, LADDER,
-                              2.0, 2.0, 2.0, 1.0, 1.0, 1.0)
+                              tuple(sp.MetricFit(m, 2.0, 1.0) for m in METRICS))
 
 
 @pytest.mark.parametrize("record, bad", [
@@ -105,6 +106,7 @@ def test_checking_records_normalize_on_replace():
     assert type(spec.n) is int
     assert all(type(v) is float for v in spec.singular_values)
     assert type(REPORT._replace(samples=list(LADDER)).samples) is tuple
+    assert type(REPORT._replace(fits=list(REPORT.fits)).fits) is tuple
 
 
 def test_records_are_immutable_tuples():
@@ -360,8 +362,7 @@ def test_report_validates_ladder_shape():
         return sp.ConvergenceReport(
             variant=FormulaVariant.CORRECTED,
             samples=samples,
-            order_u=1.0, order_v=1.0, order_sigma=1.0,
-            r2_u=1.0, r2_v=1.0, r2_sigma=1.0,
+            fits=[sp.MetricFit(m, 1.0, 1.0) for m in METRICS],
         )
 
     make([1e-2, 5e-3, 2.5e-3, 1.25e-3])
@@ -553,8 +554,9 @@ def test_rungs_at_a_factor_off_the_powers_of_two_fit_residuals_at(n, p, k, trans
         single = sp.fit_report(variant, [
             sp.residuals_at(x, e, s.epsilon, k, variant) for s in report.samples
         ], sigma_max)
-        for metric in ("order_u", "order_v", "order_sigma"):
-            assert abs(getattr(single, metric) - getattr(report, metric)) <= 1e-9
+        for fit, single_fit in zip(report.fits, single.fits, strict=True):
+            assert fit.metric == single_fit.metric
+            assert abs(single_fit.order - fit.order) <= 1e-9
 
 
 def test_ladder_solve_beyond_its_sweep_budget_raises(monkeypatch):

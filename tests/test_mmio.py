@@ -493,6 +493,19 @@ def test_report_csv_schema(tmp_path):
     assert lines[7].startswith("order_sigma,")
 
 
+def test_report_csv_bytes(tmp_path):
+    # every cell is "%.17g" of its float: the samples' as ladder_report
+    # builds them, then each fit's order and r2, which are exactly 2 and 1
+    rows = "".join("corrected,%.17g,%.17g,%.17g,%.17g\n" % (e, e**2, 0.5 * e**2, 0.1 * e**2)
+                   for e in (1e-2 * 0.5**i for i in range(4)))
+    footers = "".join("%s,%.17g,%.17g\n" % (name, 2.0, 1.0)
+                      for name in ("order_u", "order_v", "order_sigma"))
+    f = tmp_path / "r.csv"
+    sp.write_report_csv(f, ladder_report())
+    assert f.read_bytes() == ("variant,epsilon,res_u,res_v,res_sigma\n" + rows
+                              + footers).encode("ascii")
+
+
 def test_report_csv_values_round_trip(tmp_path):
     report = ladder_report()
     f = tmp_path / "r.csv"
