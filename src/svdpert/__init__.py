@@ -39,6 +39,7 @@ from .errors import (
     ParseError,
     RankDeficient,
     SingularSystem,
+    SpectrumOverflow,
     SvdpertError,
     TripletMatchAmbiguous,
     UnsupportedFormat,

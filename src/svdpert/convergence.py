@@ -65,8 +65,7 @@ METRICS = ("u", "v", "sigma")
 
 
 class ResidualSample(NamedTuple("ResidualSample", [
-        ("epsilon", float), ("res_u", float), ("res_v", float),
-        ("res_sigma", float)])):
+        ("epsilon", float), *((f"res_{m}", float) for m in METRICS)])):
     """Prediction-vs-exact residuals at one perturbation size; every
     construction checks that they are finite and nonnegative."""
 
@@ -97,26 +96,26 @@ class MetricFit(NamedTuple):
 
 class ConvergenceReport(NamedTuple("ConvergenceReport", [
         ("variant", FormulaVariant), ("samples", tuple), ("fits", tuple)])):
-    """A residual ladder and its MetricFits, in METRICS order; every
-    construction stores both as tuples and checks the ladder."""
+    """A residual ladder and its MetricFits, METRICS' first and in order,
+    none twice; every construction checks both and stores them as tuples."""
 
     __slots__ = ()
 
     def __new__(cls, variant, samples, fits):
-        samples = tuple(samples)
+        samples, fits = tuple(samples), tuple(fits)
         _check_ladder([s.epsilon for s in samples])
-        return super().__new__(cls, variant, samples, tuple(fits))
+        names = tuple(fit.metric for fit in fits)
+        if names[:len(METRICS)] != METRICS or len(set(names)) < len(names):
+            raise ValueError(f"fits must begin with {METRICS}, each once: {names}")
+        return super().__new__(cls, variant, samples, fits)
 
     @classmethod
     def _make(cls, fields):  # _replace builds through _make: check there too
         return cls(*fields)
 
-    order_u = property(lambda self: self.fits[0].order)
-    order_v = property(lambda self: self.fits[1].order)
-    order_sigma = property(lambda self: self.fits[2].order)
-    r2_u = property(lambda self: self.fits[0].r2)
-    r2_v = property(lambda self: self.fits[1].r2)
-    r2_sigma = property(lambda self: self.fits[2].r2)
+    def fit(self, metric: str) -> MetricFit:
+        """The fit of the named metric; KeyError if the report has none."""
+        return {fit.metric: fit for fit in self.fits}[metric]
 
     @property
     def min_r2(self) -> float:
@@ -353,8 +352,8 @@ def convergence_ladder(
 
 
 class ErrataRow(NamedTuple):
-    """One CATALOG row's evidence: a numeric row's metric, orders and their
-    separation, or "shape-audit" and the expected and printed dims."""
+    """One CATALOG row's evidence: "order_<metric>", the two orders and
+    their separation, or "shape-audit" and the expected and printed dims."""
 
     defect: Defect
     metric: str
@@ -383,12 +382,13 @@ def errata_rows(n: int = 5, p: int = 3, seed: int = 0) -> tuple:
     reports = dict(zip(variants, convergence_ladders(X, E, variants)))
     rows = []
     for d in CATALOG:
+        evidence = "order_" + d.metric
         if not d.applies(n, p):
-            cells, status = (d.metric, None, None, None), "not applicable (n=p)"
+            cells, status = (evidence, None, None, None), "not applicable (n=p)"
         elif d.variant:
-            good = getattr(reports[FormulaVariant.CORRECTED], d.metric)
-            bad = getattr(reports[d.variant], d.metric)
-            cells = (d.metric, good, bad, good - bad)
+            good, bad = (reports[v].fit(d.metric).order
+                         for v in (FormulaVariant.CORRECTED, d.variant))
+            cells = (evidence, good, bad, good - bad)
             status = "confirmed" if good - bad >= ORDER_SEPARATION else "not confirmed"
         else:
             cells = ("shape-audit", *d.dims(n, p), None)

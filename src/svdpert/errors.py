@@ -32,6 +32,11 @@ class RankDeficient(SvdpertError, RuntimeError):
     exit_code = 1
 
 
+class SpectrumOverflow(SvdpertError, ValueError):
+    """A singular value of the input lies beyond the double range."""
+    exit_code = 2
+
+
 class IndexOutOfRange(SvdpertError, IndexError):
     """Requested triplet index is not in 1..p."""
     exit_code = 2

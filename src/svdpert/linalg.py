@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DimensionMismatch, RankDeficient
+from .errors import ConvergenceFailure, DimensionMismatch, RankDeficient, SpectrumOverflow
 
 # Convergence / rank thresholds.  JACOBI_TOL is relative to the geometric
 # mean of the two column norms; QR_RANK_TOL is relative to the Frobenius norm
@@ -394,18 +394,29 @@ def svd(x, max_sweeps: int = JACOBI_SWEEP_LIMIT) -> Svd:
 
     Signs are fixed so that the largest-magnitude entry of each right
     vector is nonnegative (ties break to the lowest index), the paired
-    left vector flipping with it.  Raises ConvergenceFailure if the sweep
-    budget is exhausted, which the CLI reports with exit code 1.
+    left vector flipping with it.  The factorization is bitwise
+    equivariant under power-of-two scaling, so an input in the top
+    binades, whose QR products could overflow, is factored scaled down by
+    a few powers of two and its S scaled back.  Raises SpectrumOverflow
+    (exit code 2) if S[0] lies beyond the double range, and
+    ConvergenceFailure (exit code 1) if the sweep budget is exhausted.
     """
     X = as_matrix(x, "X")
     wide = X.shape[0] < X.shape[1]
     A = X.T if wide else X
     n, p = A.shape
-    rows = np.argsort(-np.max(np.abs(A), axis=1), kind="stable")
-    R, perm, outer = _preconditioning_qr(A[rows], pivot=True)
+    peaks = np.max(np.abs(A), axis=1)
+    rows = np.argsort(-peaks, kind="stable")
+    # 2^-shift A keeps the QRs' products, below 4 n p max|A|, finite
+    shift = max(0, _exponent(peaks) + (4 * n * p).bit_length() - 1024)
+    R, perm, outer = _preconditioning_qr(np.ldexp(A[rows], -shift), pivot=True)
     R2, _, inner = _preconditioning_qr(R.T, pivot=False)
     W, e, V1 = _jacobi_sweeps(R2.T, max_sweeps)
     mantissas = np.sqrt(np.sum(W * W, axis=0))
+    e = e + shift
+    if shift and np.max(np.frexp(mantissas)[1] + e) > 1024:
+        raise SpectrumOverflow("the largest singular value of X lies beyond "
+                               "the double range")
     norms = np.ldexp(mantissas, e)
     order = np.argsort(-norms, kind="stable")
     S = norms[order]

@@ -152,9 +152,9 @@ class Defect(NamedTuple):
     """One row of the defect catalog of the defective printed expansion.
 
     Numeric evidence (metric, variant): the variant's fitted order of the
-    metric drops below the corrected one.  Symbolic evidence (kind, term
-    and the expected/printed dims templates over n, p, m = p - 1 and
-    c = n - p): the shape audit's finding.
+    metric, a name of convergence.METRICS, drops below the corrected one.
+    Symbolic evidence (kind, term and the expected/printed dims templates
+    over n, p, m = p - 1 and c = n - p): the shape audit's finding.
     """
 
     item: int
@@ -181,7 +181,7 @@ class Defect(NamedTuple):
 # formed at all, and the dropped complement shows both ways.
 CATALOG = (
     Defect(1, "u_tilde", "sign flipped after the E v1 term in the u correction",
-           "order_u", FormulaVariant.SIGN_FLIPPED),
+           "u", FormulaVariant.SIGN_FLIPPED),
     Defect(2, "u_tilde", "V2 printed untransposed after Sigma2 in the u correction",
            kind="missing-transpose",
            term="cross term Sigma2 V2 E^T u1 of the u correction",
@@ -189,7 +189,7 @@ CATALOG = (
                     "-> {m}-vector",
            printed="Sigma2 {m}x{m} @ V2 {p}x{m}: inner dimensions {m} != {p}"),
     Defect(3, "u_tilde", "complement term dropped after 1/sigma1 in the u correction",
-           "order_u", FormulaVariant.U3_OMITTED, kind="omitted-factor",
+           "u", FormulaVariant.U3_OMITTED, kind="omitted-factor",
            term="complement term of the u correction (U3 dropped after 1/sigma1)",
            expected="U3 {n}x{c} @ U3^T {c}x{n} @ E {n}x{p} @ v1 {p} -> {n}-vector",
            printed="U3^T E v1 -> {c}-vector added to {n}-vectors"),
@@ -199,7 +199,7 @@ CATALOG = (
            expected="V2^T {m}x{p} @ E^T {p}x{n} @ u1 {n} -> {m}-vector",
            printed="V2 {p}x{m} @ E^T {p}x{n}: inner dimensions {m} != {p}"),
     Defect(5, "v_tilde", "sign flipped after the E^T u1 term in the v correction",
-           "order_v", FormulaVariant.SIGN_FLIPPED),
+           "v", FormulaVariant.SIGN_FLIPPED),
 )
 
 

@@ -54,25 +54,26 @@ def test_01_closed_form_matches_direct_solve():
 def test_02_corrected_expansion_is_second_order():
     x, e = benchmark_pair()
     report = sp.convergence_ladder(x, e)
-    for order in (report.order_u, report.order_v, report.order_sigma):
+    orders = [fit.order for fit in report.fits]
+    for order in orders:
         assert 1.9 <= order <= 2.1
     assert report.min_r2 >= 0.99
-    verdict(2, f"corrected orders u/v/sigma = {report.order_u:.4f}/"
-               f"{report.order_v:.4f}/{report.order_sigma:.4f}, "
-               f"min r2 {report.min_r2:.6f}")
+    verdict(2, "corrected orders u/v/sigma = %.4f/%.4f/%.4f, " % tuple(orders)
+               + f"min r2 {report.min_r2:.6f}")
 
 
 def test_03_defective_variants_drop_to_first_order():
     x, e = benchmark_pair()
     flipped = sp.convergence_ladder(x, e, variant=FormulaVariant.SIGN_FLIPPED)
-    assert 0.9 <= flipped.order_u <= 1.1
-    assert 0.9 <= flipped.order_v <= 1.1
+    flipped_u, flipped_v = (flipped.fit(m).order for m in ("u", "v"))
+    assert 0.9 <= flipped_u <= 1.1
+    assert 0.9 <= flipped_v <= 1.1
     dropped = sp.convergence_ladder(x, e, variant=FormulaVariant.U3_OMITTED)
-    assert 0.9 <= dropped.order_u <= 1.1
-    assert 1.9 <= dropped.order_v <= 2.1   # right vector is unaffected
-    verdict(3, f"defective orders: sign-flip u/v = {flipped.order_u:.4f}/"
-               f"{flipped.order_v:.4f}, dropped-complement u = "
-               f"{dropped.order_u:.4f}")
+    dropped_u = dropped.fit("u").order
+    assert 0.9 <= dropped_u <= 1.1
+    assert 1.9 <= dropped.fit("v").order <= 2.1   # right vector is unaffected
+    verdict(3, f"defective orders: sign-flip u/v = {flipped_u:.4f}/"
+               f"{flipped_v:.4f}, dropped-complement u = {dropped_u:.4f}")
 
 
 def test_04_hand_solvable_2x2_case():

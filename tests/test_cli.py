@@ -497,7 +497,7 @@ def test_errata_rows_follow_the_catalog(n, p):
             f = findings[d.item]
             assert row[3:6] == ["shape-audit", *f.dims(n, p)]
         else:
-            assert row[3] == d.metric
+            assert row[3] == "order_" + d.metric
     # the dropped complement has no numeric evidence on a square instance
     statuses = [row[-1] for row in rows]
     assert statuses.count("not applicable (n=p)") == (0 if n > p else 1)
@@ -505,7 +505,7 @@ def test_errata_rows_follow_the_catalog(n, p):
 
 def test_errata_unconfirmed_defect_exits_5(monkeypatch):
     # a "defect" that is the corrected form itself cannot separate
-    no_defect = sp.Defect(6, "u_tilde", "corrected form", "order_u",
+    no_defect = sp.Defect(6, "u_tilde", "corrected form", "u",
                           FormulaVariant.CORRECTED)
     monkeypatch.setattr(svdpert.convergence, "CATALOG", (*sp.CATALOG, no_defect))
     code, stdout, err = run_cli(["errata"])

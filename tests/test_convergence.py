@@ -79,6 +79,9 @@ REPORT = sp.ConvergenceReport(FormulaVariant.CORRECTED, LADDER,
     (LADDER[0], {"epsilon": math.inf}),
     (REPORT, {"samples": list(LADDER[:3])}),
     (REPORT, {"samples": LADDER[::-1]}),
+    (REPORT, {"fits": ()}),
+    (REPORT, {"fits": REPORT.fits[::-1]}),
+    (REPORT, {"fits": REPORT.fits + REPORT.fits[:1]}),
 ], ids=lambda v: "-".join(v) if isinstance(v, dict) else type(v).__name__)
 def test_checking_records_check_every_construction_path(record, bad):
     # each path that builds a record runs its checks: _replace through
@@ -107,6 +110,14 @@ def test_checking_records_normalize_on_replace():
     assert all(type(v) is float for v in spec.singular_values)
     assert type(REPORT._replace(samples=list(LADDER)).samples) is tuple
     assert type(REPORT._replace(fits=list(REPORT.fits)).fits) is tuple
+
+
+def test_report_reads_each_fit_by_its_metric_name():
+    assert tuple(REPORT.fit(m) for m in METRICS) == REPORT.fits
+    w = sp.MetricFit("w", 1.25, 0.99)
+    assert REPORT._replace(fits=(*REPORT.fits, w)).fit("w") is w
+    with pytest.raises(KeyError):
+        REPORT.fit("w")
 
 
 def test_records_are_immutable_tuples():
@@ -325,8 +336,8 @@ def test_fit_report_filters_noise_floor():
     # only the survivors and still recover the cubic order
     assert min(s.res_u for s in samples) < 1e-13
     report = sp.fit_report(FormulaVariant.CORRECTED, samples)
-    assert abs(report.order_u - 3.0) <= 1e-8
-    assert abs(report.order_v - 2.0) <= 1e-10
+    assert abs(report.fit("u").order - 3.0) <= 1e-8
+    assert abs(report.fit("v").order - 2.0) <= 1e-10
 
 
 def test_fit_report_insufficient_samples():
@@ -381,9 +392,9 @@ def test_report_validates_ladder_shape():
 def test_ladder_corrected_is_second_order():
     x, e = make_instance(6, 4, 70)
     report = sp.convergence_ladder(x, e)
-    assert 1.8 <= report.order_u <= 2.2
-    assert 1.8 <= report.order_v <= 2.2
-    assert 1.8 <= report.order_sigma <= 2.2
+    assert 1.8 <= report.fit("u").order <= 2.2
+    assert 1.8 <= report.fit("v").order <= 2.2
+    assert 1.8 <= report.fit("sigma").order <= 2.2
     assert report.min_r2 >= 0.99
     res_u = [s.res_u for s in report.samples]
     assert all(a > b for a, b in zip(res_u, res_u[1:]))
@@ -392,12 +403,12 @@ def test_ladder_corrected_is_second_order():
 def test_ladder_defective_variants_are_first_order():
     x, e = make_instance(6, 4, 70)
     flipped = sp.convergence_ladder(x, e, variant=FormulaVariant.SIGN_FLIPPED)
-    assert 0.8 <= flipped.order_u <= 1.2
-    assert 0.8 <= flipped.order_v <= 1.2
+    assert 0.8 <= flipped.fit("u").order <= 1.2
+    assert 0.8 <= flipped.fit("v").order <= 1.2
     dropped = sp.convergence_ladder(x, e, variant=FormulaVariant.U3_OMITTED)
-    assert 0.8 <= dropped.order_u <= 1.2
+    assert 0.8 <= dropped.fit("u").order <= 1.2
     # the right vector is untouched by the complement defect
-    assert 1.8 <= dropped.order_v <= 2.2
+    assert 1.8 <= dropped.fit("v").order <= 2.2
 
 
 def test_ladder_deterministic_bitwise():
@@ -438,9 +449,9 @@ def test_symmetric_case_right_vector_superconverges():
     x = np.diag([3.0, 1.0])
     e_dir = np.array([[0.0, 1.0], [1.0, 0.0]]) / np.sqrt(2.0)
     report = sp.convergence_ladder(x, e_dir)
-    assert 2.5 <= report.order_v <= 3.5
-    assert 2.5 <= report.order_u <= 3.5
-    assert 1.8 <= report.order_sigma <= 2.2
+    assert 2.5 <= report.fit("v").order <= 3.5
+    assert 2.5 <= report.fit("u").order <= 3.5
+    assert 1.8 <= report.fit("sigma").order <= 2.2
 
 
 # --------------------------------------- one decomposition per ladder rung
@@ -616,8 +627,8 @@ def test_ladder_orders_are_scale_invariant(j):
     base = sp.convergence_ladders(x, e, variants)
     scaled = sp.convergence_ladders(2.0**j * x, e, variants, eps0=2.0**j * 1e-2)
     for b, s in zip(base, scaled):
-        for metric in ("order_u", "order_v", "order_sigma"):
-            assert abs(getattr(s, metric) - getattr(b, metric)) <= 1e-9
+        for metric in METRICS:
+            assert abs(s.fit(metric).order - b.fit(metric).order) <= 1e-9
 
 
 @settings(max_examples=30, deadline=None)
@@ -637,5 +648,5 @@ def test_ladder_direction_scaled_by_ten_fits_the_same_orders():
     # a factor that is not a power of two moves the unit direction by an ulp
     x, e = make_instance(6, 4, 70)
     base, scaled = (sp.convergence_ladder(x, s * e) for s in (1.0, 10.0))
-    for metric in ("order_u", "order_v", "order_sigma"):
-        assert abs(getattr(scaled, metric) - getattr(base, metric)) <= 1e-9
+    for metric in METRICS:
+        assert abs(scaled.fit(metric).order - base.fit(metric).order) <= 1e-9

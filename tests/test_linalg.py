@@ -9,12 +9,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import svdpert as sp
 import svdpert.linalg
-from svdpert.errors import ConvergenceFailure, DimensionMismatch, RankDeficient
+from svdpert.errors import (
+    ConvergenceFailure, DimensionMismatch, RankDeficient, SpectrumOverflow)
 from svdpert.linalg import (
     JACOBI_SWEEP_LIMIT, _pivot_sweeps, _preconditioning_qr, _reflect, _rotation,
     _round_robin)
@@ -166,6 +167,28 @@ def test_svd_power_of_two_scaling_is_bitwise(k, seed):
         assert np.array_equal(scaled.S, 2.0**k * base.S)
         assert np.array_equal(scaled.U, base.U)
         assert np.array_equal(scaled.V, base.V)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(st.integers(1, 9), st.integers(1, 9)),
+       st.integers(min_value=0, max_value=2**32),
+       st.integers(min_value=1000, max_value=1023))
+# S[0] is 1.785e308, finite, where the QR's products overflow unscaled
+@example(shape=(5, 3), seed=0, j=1022)
+@example(shape=(5, 3), seed=10, j=1022)  # S[0] beyond the double range
+def test_svd_top_binade_is_bitwise_scaled_or_overflows(shape, seed, j):
+    x = sp.SplitMix64(seed).normal_matrix(*shape)
+    scaled = np.ldexp(x, j)
+    assume(np.isfinite(scaled).all())
+    base = sp.svd(x)
+    if math.frexp(float(base.S[0]))[1] + j > 1024:
+        with pytest.raises(SpectrumOverflow, match="beyond the double range"):
+            sp.svd(scaled)
+        return
+    f = sp.svd(scaled)
+    assert np.array_equal(f.S, np.ldexp(base.S, j))
+    assert np.array_equal(f.U, base.U)
+    assert np.array_equal(f.V, base.V)
 
 
 def _exact_singular_values(x, dps=340):

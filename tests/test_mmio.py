@@ -517,8 +517,8 @@ def test_report_csv_values_round_trip(tmp_path):
         assert float(ru) == sample.res_u
         assert float(rv) == sample.res_v
         assert float(rs) == sample.res_sigma
-    assert float(lines[5].split(",")[1]) == report.order_u
-    assert float(lines[7].split(",")[2]) == report.r2_sigma
+    assert float(lines[5].split(",")[1]) == report.fit("u").order
+    assert float(lines[7].split(",")[2]) == report.fit("sigma").r2
 
 
 def test_report_csv_byte_stable(tmp_path):

@@ -62,6 +62,10 @@ def _assert_certified(report, orders):
 @example(shape=(7, 4, 4), j=900, seed=1)
 @example(shape=(3, 8, 2), j=-900, seed=2)
 def test_verify_certifies_or_refuses(shape, j, seed):
+    _check_certifies_or_refuses(shape, j, seed)
+
+
+def _check_certifies_or_refuses(shape, j, seed):
     n, p, k = shape
     X, E = _problem(n, p, j, seed)
     try:
@@ -73,8 +77,15 @@ def test_verify_certifies_or_refuses(shape, j, seed):
     if report.refusal is not None:
         assert report.refusal.exit_code == 4
         return
-    _assert_certified(
-        report, (report.order_u, report.order_v, report.order_sigma))
+    _assert_certified(report, [fit.order for fit in report.fits])
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the ladder is pre-asymptotic: it certifies (min r2 0.99980) with "
+    "order_sigma 3.1028, above ORDER_BAND's 3.0; ROADMAP items 13 and 18"))
+def test_verify_certifies_or_refuses_at_a_known_failing_draw():
+    # a draw test_verify_certifies_or_refuses can make
+    _check_certifies_or_refuses((9, 9, 8), 0, 244811900)
 
 
 @pytest.mark.xfail(raises=InsufficientSamples, reason=(
@@ -84,8 +95,8 @@ def test_verify_certifies_or_refuses(shape, j, seed):
 def test_thin_shapes_certify(n, p):
     X, E = _problem(n, p, 0, seed=n + p)
     report = sp.convergence_ladder(X, E, eps0=_gap_eps0(X, 1))
-    long_side = report.order_u if n > 1 else report.order_v
-    _assert_certified(report, (long_side, report.order_sigma))
+    long_side = report.fit("u" if n > 1 else "v").order
+    _assert_certified(report, (long_side, report.fit("sigma").order))
 
 
 @pytest.mark.parametrize("j", [
@@ -102,8 +113,7 @@ def test_thin_shapes_certify(n, p):
 def test_default_eps0_certifies_scaled_input(j):
     X, E = make_instance(6, 4, seed=3)
     report = sp.convergence_ladder(np.ldexp(X, j), E)
-    _assert_certified(
-        report, (report.order_u, report.order_v, report.order_sigma))
+    _assert_certified(report, [fit.order for fit in report.fits])
 
 
 @settings(max_examples=40, deadline=None)
