@@ -12,7 +12,6 @@ import types as _types
 
 from .convergence import (
     FLOOR_TOL,
-    MATCH_TOL,
     ORDER_SEPARATION,
     R2_GATE,
     ConvergenceReport,
@@ -41,7 +40,6 @@ from .errors import (
     SingularSystem,
     SpectrumOverflow,
     SvdpertError,
-    TripletMatchAmbiguous,
     UnsupportedFormat,
     ZeroVector,
 )

@@ -111,6 +111,8 @@ def _cmd_expand(args) -> None:
     E = read_matrix(args.e)
     exp = expand_matrix(X, E, args.k, FormulaVariant(args.variant))
     proj, co = exp.projections, exp.coefficients
+    # either norm can overflow, so both are taken before anything is printed
+    f31_norm, g3_norm = (frobenius_norm(w[None]) for w in (proj.f31, co.g3))
     print(f"rows: {X.shape[0]}")
     print(f"cols: {X.shape[1]}")
     print(f"k: {args.k}")
@@ -124,9 +126,9 @@ def _cmd_expand(args) -> None:
     print(f"phi1: {_fmt(proj.phi1)}")
     print(f"f12: {_fmt_vec(proj.f12)}".rstrip())
     print(f"f21: {_fmt_vec(proj.f21)}".rstrip())
-    print(f"f31_norm: {_fmt(frobenius_norm(proj.f31[None]))}")
+    print(f"f31_norm: {_fmt(f31_norm)}")
     print(f"g2: {_fmt_vec(co.g2)}".rstrip())
-    print(f"g3_norm: {_fmt(frobenius_norm(co.g3[None]))}")
+    print(f"g3_norm: {_fmt(g3_norm)}")
     print(f"h2: {_fmt_vec(co.h2)}".rstrip())
 
 

@@ -17,10 +17,11 @@ prediction is linear in epsilon, so each variant's is formed once and
 scaled to every rung.  The rungs' exact triplets are solved together, each
 with arithmetic of its own: one-sided Jacobi on (X + epsilon E) V0, V0 the
 right singular vectors of X, rotating only the pairs that contain the
-tracked column k until it is orthogonal to all others.  Every variant is
-scored against each rung's triplet, tracked by its overlaps with the
-unperturbed one; an overlap, right or left, below MATCH_TOL means the
-perturbation is too large to track and raises TripletMatchAmbiguous.
+tracked column k until it is orthogonal to all others.  One guard decides
+which sizes are measured: epsilon < 0.1 * gap, the spectral gap at k.
+Below it, Wedin's sin-theta theorem (BIT 12, 1972) keeps each rung's
+singular vectors within arcsin(epsilon / (gap - epsilon)) < arcsin(1/9) of
+the unperturbed ones, so the column solved is the tracked triplet.
 """
 
 import math
@@ -31,9 +32,9 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     FitUnreliable,
+    GapTooSmall,
     InsufficientSamples,
     NotDemonstrable,
-    TripletMatchAmbiguous,
     ZeroVector,
 )
 from .linalg import _exponent, _pivot_sweeps, frobenius_norm, svd
@@ -52,13 +53,11 @@ from .perturbation import (
 from .randmat import SpectrumSpec, SplitMix64, matrix_with_spectrum
 
 # Residuals at or below FLOOR_TOL sit in the numerical noise floor and are
-# excluded from slope fits; MATCH_TOL is the minimum |overlap| for tracking
-# a triplet across the perturbation.  A report certifies when every fit
-# reaches r2 >= R2_GATE; errata confirms a defect whose variant's order
-# lies at least ORDER_SEPARATION below the corrected form's.  A report fits
-# each name of METRICS, in order, to ResidualSample.res_<name>.
+# excluded from slope fits.  A report certifies when every fit reaches r2 >=
+# R2_GATE; errata confirms a defect whose variant's order lies at least
+# ORDER_SEPARATION below the corrected form's.  A report fits each name of
+# METRICS, in order, to ResidualSample.res_<name>.
 FLOOR_TOL = 1e-13
-MATCH_TOL = 0.7
 R2_GATE = 0.98
 ORDER_SEPARATION = 0.5
 METRICS = ("u", "v", "sigma")
@@ -159,10 +158,12 @@ def align_sign(reference, candidate) -> np.ndarray:
     return cand if float(ref @ cand) >= 0.0 else -cand
 
 
-def _decompose(X, E_dir, k: int) -> tuple:
+def _decompose(X, E_dir, k: int, name: str, epsilon: float) -> tuple:
     """tall_problem's (Xo, Eo, swapped) with Eo scaled to unit Frobenius
     norm (a zero E_dir raises ZeroVector), the SVD of Xo, and its
-    partition around triplet k."""
+    partition around triplet k.  Then, after every data error, the one
+    guard on perturbation sizes: epsilon >= 0.1 * (spectral gap at k)
+    raises ValueError, whose message calls epsilon name."""
     Xo, Eo, swapped = tall_problem(X, E_dir)
     # divided in the scaled form frobenius_norm sums in, so a direction
     # whose norm lies beyond the double range is still normalized
@@ -171,18 +172,25 @@ def _decompose(X, E_dir, k: int) -> tuple:
     if norm == 0.0:
         raise ZeroVector("direction E_dir has zero norm")
     full = svd(Xo)
-    return (Xo, Eo / norm, swapped), full, partition_svd(full, k)
+    part = partition_svd(full, k)
+    gap = triplet_gap(full, k)
+    if epsilon >= 0.1 * gap:
+        raise ValueError(
+            f"{name} {epsilon} must stay below 0.1 * spectral gap ({0.1 * gap:.3e})"
+        )
+    return (Xo, Eo / norm, swapped), full, part
 
 
 def _score_ladder(problem, full, part, eps0: float, scales, variants) -> list:
     """One list of ResidualSamples per variant over the rungs epsilon_i =
     eps0 * scales[i], for _decompose's problem, full and part.  _pivot_sweeps
     solves the stack Xo V0 + epsilon_i (Eo V0), V0 = full.V, on column k - 1
-    (at epsilon 0 the triplet is full's own); v = V0 y.  Walking the rungs in
-    order, a rung is tracked when both overlaps reach MATCH_TOL, first the
-    right one y[k - 1], then the left one u @ u1, else TripletMatchAmbiguous;
-    each exact vector is divided by its overlap, into the prediction's affine
-    chart.  E is projected once, as eps0 * Eo, and _prediction scales each
+    (at epsilon 0 the triplet is full's own); v = V0 y.  Each exact vector is
+    divided by its overlap with the unperturbed one, y[k - 1] or u @ u1, into
+    the prediction's affine chart; _decompose's guard keeps both near 1.  A
+    rung whose singular value is exactly 0 (a square X whose sigma_k epsilon
+    E moved onto its mirror -sigma_k) raises GapTooSmall(k, 0.0) first.  E
+    is projected once, as eps0 * Eo, and _prediction scales each
     variant's corrections to rung i by scales[i]: bitwise expand_triplet at
     epsilon_i when that is a power of two, barring subnormals.
     """
@@ -196,12 +204,10 @@ def _score_ladder(problem, full, part, eps0: float, scales, variants) -> list:
         rungs = ((sigma, u, full.V @ y, float(y[j]))
                  for sigma, u, y in _pivot_sweeps(stack, j))
     exact = []
-    for epsilon, (sigma, u, v, right) in zip(epsilons, rungs):
-        left = float(u @ part.u1)
-        for overlap in (right, left):
-            if abs(overlap) < MATCH_TOL:
-                raise TripletMatchAmbiguous(abs(overlap), MATCH_TOL, epsilon)
-        exact.append((sigma, u / left, v / right))
+    for sigma, u, v, right in rungs:
+        if sigma == 0.0:
+            raise GapTooSmall(part.k, 0.0)
+        exact.append((sigma, u / float(u @ part.u1), v / right))
     sigmas, us, vs = (np.array(column) for column in zip(*exact))
     proj = compute_projections(part, eps0 * Eo)
     s = np.array(scales)[:, None]
@@ -227,11 +233,12 @@ def residuals_at(X, E_dir, epsilon: float, k: int = 1,
     _score_ladder): the exact k-th triplet of X + epsilon * E_dir, its
     vectors rescaled into the prediction's affine chart, gives the
     Euclidean residuals plus |sigma_exact - sigma~|.  E_dir is scaled to
-    unit Frobenius norm.
+    unit Frobenius norm.  The sizes measured are a ladder's: epsilon >= 0.1 *
+    (spectral gap at triplet k) raises ValueError, after X's own errors.
     """
     if not (math.isfinite(epsilon) and epsilon >= 0.0):
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
-    problem, full, part = _decompose(X, E_dir, k)
+    problem, full, part = _decompose(X, E_dir, k, "epsilon", epsilon)
     return _score_ladder(problem, full, part, epsilon, [1.0], (variant,))[0][0]
 
 
@@ -310,12 +317,12 @@ def convergence_ladders(X, E_dir, variants, k: int = 1, eps0: float = 1e-2,
     variants share the ladder.  Any nonzero E_dir is scaled to unit
     Frobenius norm, so 2^j E_dir gives the same reports.  Requires count >=
     4, 0 < factor < 1, and eps0 < 0.1 * (spectral gap at the selected
-    triplet) so that tracking stays unambiguous; epsilons that underflow
-    fail the report's ladder check before any rung is solved.  Each rung's
-    arithmetic is its own, so reports are bitwise reproducible and, with
-    factor 0.5, every sample is residuals_at's at its epsilon.  The first
-    rung that exhausts the sweep budget or cannot be tracked raises
-    ConvergenceFailure or TripletMatchAmbiguous.
+    triplet), residuals_at's guard, so that every rung tracks that triplet;
+    epsilons that underflow fail the report's ladder check before any rung
+    is solved.  Each rung's arithmetic is its own, so reports are bitwise
+    reproducible and, with factor 0.5, every sample is residuals_at's at
+    its epsilon.  The first rung that exhausts the sweep budget raises
+    ConvergenceFailure, and one whose singular value is exactly 0 GapTooSmall.
     """
     variants = tuple(variants)
     if not variants:
@@ -326,14 +333,7 @@ def convergence_ladders(X, E_dir, variants, k: int = 1, eps0: float = 1e-2,
         raise ValueError(f"factor must lie in (0, 1), got {factor}")
     if not (math.isfinite(eps0) and eps0 > 0.0):
         raise ValueError(f"eps0 must be finite and positive, got {eps0}")
-    # triplet separation is a data problem and is reported as such,
-    # before eps0 (a flag problem) is ever compared against the gap
-    problem, full, part = _decompose(X, E_dir, k)
-    gap = triplet_gap(full, k)
-    if eps0 >= 0.1 * gap:
-        raise ValueError(
-            f"eps0 {eps0} must stay below 0.1 * spectral gap ({0.1 * gap:.3e})"
-        )
+    problem, full, part = _decompose(X, E_dir, k, "eps0", eps0)
     scales = [factor**i for i in range(count)]
     _check_ladder([eps0 * s for s in scales])
     ladders = _score_ladder(problem, full, part, eps0, scales, variants)

@@ -33,7 +33,7 @@ class RankDeficient(SvdpertError, RuntimeError):
 
 
 class SpectrumOverflow(SvdpertError, ValueError):
-    """A singular value of the input lies beyond the double range."""
+    """A result lies beyond the double range."""
     exit_code = 2
 
 
@@ -64,22 +64,6 @@ class SingularSystem(SvdpertError, RuntimeError):
 class ZeroVector(SvdpertError, ValueError):
     """A nonzero vector is required."""
     exit_code = 2
-
-
-class TripletMatchAmbiguous(SvdpertError, RuntimeError):
-    """The perturbed triplet cannot be tracked back to the reference
-    triplet with confidence."""
-    exit_code = 4
-
-    def __init__(self, overlap: float, threshold: float, epsilon: float):
-        super().__init__(
-            f"at epsilon {epsilon:g} the tracked triplet's overlap "
-            f"{overlap:.3f} with the unperturbed one is below the matching "
-            f"threshold {threshold}"
-        )
-        self.overlap = overlap
-        self.threshold = threshold
-        self.epsilon = epsilon
 
 
 class InsufficientSamples(SvdpertError, RuntimeError):

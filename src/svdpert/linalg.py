@@ -82,11 +82,15 @@ def frobenius_norm(a) -> float:
     """Square root of the sum of squared entries.  The squares are summed
     on the entries scaled by 2^-e, e = _exponent(A), and the root is scaled
     back, so the sum cannot overflow nor its leading squares underflow, and
-    frobenius_norm(2^j A) == 2^j frobenius_norm(A) exactly."""
+    frobenius_norm(2^j A) == 2^j frobenius_norm(A) exactly.  A norm beyond
+    the double range raises SpectrumOverflow."""
     A = as_matrix(a, "A")
     e = _exponent(A)
     scaled = np.ldexp(A, -e)
-    return math.ldexp(float(np.sqrt(np.sum(scaled * scaled))), e)
+    root = float(np.sqrt(np.sum(scaled * scaled)))
+    if math.frexp(root)[1] + e > 1024:
+        raise SpectrumOverflow("the Frobenius norm lies beyond the double range")
+    return math.ldexp(root, e)
 
 
 def _rotation(a: float, b: float, c: float, d: int):
@@ -304,7 +308,7 @@ def _pivot_sweeps(X: np.ndarray, pivot: int, max_sweeps: int = JACOBI_SWEEP_LIMI
         if turning:
             raise ConvergenceFailure(
                 f"one-sided Jacobi did not converge in {max_sweeps} sweeps")
-        # not w @ w, whose bits follow w's alignment; a zero u is refused later
+        # not w @ w, whose bits follow w's alignment; a zero sigma is refused later
         norm = math.sqrt(float(np.add.reduce(w * w)))
         yield math.ldexp(norm, int(exponent)), (w / norm if norm else w), y
 

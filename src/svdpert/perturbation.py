@@ -52,6 +52,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidDims,
     SingularSystem,
+    SpectrumOverflow,
 )
 from .linalg import Svd, as_matrix, svd
 
@@ -377,11 +378,16 @@ def expand_triplet(
 
     Vectors are not renormalized.  Without a complement (n == p and no zero
     singular value) the g3 term is skipped, so CORRECTED / U3_OMITTED
-    coincide exactly (same float operations).
+    coincide exactly (same float operations).  An E near the top of the
+    double range can carry a projection, coefficient or prediction beyond
+    it: that raises SpectrumOverflow, with no RuntimeWarning.
     """
-    proj = compute_projections(part, E)
-    co = variant_coefficients(part, proj, variant)
-    u, v, sigma = _prediction(part, co, variant, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        proj = compute_projections(part, E)
+        co = variant_coefficients(part, proj, variant)
+        u, v, sigma = _prediction(part, co, variant, 1.0)
+    if not all(np.isfinite(x).all() for x in (u, v, sigma, *proj, *co)):
+        raise SpectrumOverflow("a result of the expansion lies beyond the double range")
     return TripletExpansion(
         u_tilde=u,
         v_tilde=v,

@@ -5,6 +5,7 @@ the installed entry point.
 """
 
 import functools
+import math
 import os
 import re
 import subprocess
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import parse_kv, run_cli
@@ -235,6 +236,62 @@ def test_expand_far_scaled_input_is_scaled_output(tmp_path):
         assert got == pytest.approx(want, rel=1e-12), key
 
 
+def _beyond_double_range(case):
+    """(X, E) for which expand's sigma~, its coefficients or the norm of its
+    f31 lies beyond the double range, every entry finite."""
+    if case == "sigma_tilde":  # sigma1 and theta1 both 1.785e308
+        x = np.ldexp(sp.SplitMix64(0).normal_matrix(5, 3), 1022)
+        return x, x
+    if case == "coefficients":
+        return np.array([[1.0, 0.0], [0.0, 0.5], [0.0, 0.0]]), np.full((3, 2), 1e308)
+    x, e = np.zeros((4, 2)), np.zeros((4, 2))
+    x[0, 0], x[1, 1], e[2:, 0] = 2.0, 1.0, 1.7e308
+    return x, e
+
+
+@pytest.mark.parametrize("case, message", [
+    ("sigma_tilde", "a result of the expansion lies beyond the double range"),
+    ("coefficients", "a result of the expansion lies beyond the double range"),
+    ("f31_norm", "the Frobenius norm lies beyond the double range"),
+])
+def test_expand_result_beyond_double_range_exits_2(tmp_path, case, message):
+    # SpectrumOverflow before anything is printed, and no RuntimeWarning
+    # (which the suite raises as an error)
+    x, e = tmp_path / "x.mtx", tmp_path / "e.mtx"
+    for path, a in zip((x, e), _beyond_double_range(case)):
+        sp.write_matrix(path, a)
+    assert run_cli(["expand", "--x", str(x), "--e", str(e)]) == (
+        2, "", f"error: {message}\n")
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.sampled_from([(3, 2), (2, 3), (4, 4), (5, 3), (3, 1), (1, 3), (2, 2)]),
+       seed=st.integers(0, 2**32),
+       i=st.integers(0, 1023) | st.integers(1010, 1023),
+       j=st.integers(0, 1023) | st.integers(1010, 1023))
+def test_expand_prints_finite_numbers_or_refuses(tmp_path_factory, shape, seed, i, j):
+    # X and E scaled by 2^i and 2^j, up to the top binade: expand prints
+    # only finite numbers, or one error line with exit code 2
+    stream = sp.SplitMix64(seed)
+    with np.errstate(over="ignore"):
+        x, e = (np.ldexp(stream.normal_matrix(*shape), s) for s in (i, j))
+    assume(np.isfinite(x).all() and np.isfinite(e).all())
+    d = tmp_path_factory.mktemp("expand")
+    paths = [str(d / "x.mtx"), str(d / "e.mtx")]
+    for path, a in zip(paths, (x, e)):
+        sp.write_matrix(path, a)
+    code, stdout, err = run_cli(["expand", "--x", paths[0], "--e", paths[1]])
+    if code == 0:
+        block = parse_kv(stdout)
+        for key in ("variant", "transposed"):
+            del block[key]
+        assert all(math.isfinite(float(t)) for v in block.values() for t in v.split())
+    else:
+        assert (code, stdout) == (2, ""), err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["expand", "verify"])
 def test_svd_convergence_failure_exits_1(tmp_path, monkeypatch, command):
     x, e = write_benchmark(tmp_path)
@@ -442,6 +499,17 @@ def test_verify_noise_floor_exits_4(tmp_path):
     assert "noise floor" in err
 
 
+def test_verify_annihilated_rung_exits_3(tmp_path):
+    # the fourth rung, epsilon 2^-20, is diag(1, 0): the tracked singular
+    # value is exactly 0, sigma_2 moved onto its mirror -sigma_2
+    x, e = tmp_path / "x.mtx", tmp_path / "e.mtx"
+    sp.write_matrix(x, np.diag([1.0, 2.0**-20]))
+    sp.write_matrix(e, np.array([[0.0, 0.0], [0.0, -1.0]]))
+    assert run_cli(["verify", "--x", str(x), "--edir", str(e), "--k", "2",
+                    "--eps0", "7.62939453125e-06"]) == (
+        3, "", "error: triplet 2: spectral separation 0.000e+00 is below tolerance\n")
+
+
 def test_verify_gap_too_small_exits_3(tmp_path):
     x, e = tmp_path / "x.mtx", tmp_path / "e.mtx"
     run_cli(["gen", "--n", "4", "--p", "3", "--sv", "3,2.9999999999,1",
@@ -548,8 +616,7 @@ def _readme_exit_codes():
 ERROR_CLASSES = [cls for cls in vars(svdpert.errors).values()
                  if isinstance(cls, type) and issubclass(cls, sp.SvdpertError)
                  and cls is not sp.SvdpertError]
-ERROR_ARGS = {sp.GapTooSmall: (2, 1e-9), sp.ParseError: (3, "bad entry"),
-              sp.TripletMatchAmbiguous: (0.5, 0.7, 1e-3)}
+ERROR_ARGS = {sp.GapTooSmall: (2, 1e-9), sp.ParseError: (3, "bad entry")}
 
 
 def test_readme_exit_code_table_names_every_error_class():

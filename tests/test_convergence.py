@@ -9,10 +9,11 @@ import copy
 import math
 import pickle
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, target
 from hypothesis import strategies as st
 
 from helpers import make_instance, run_cli
@@ -24,8 +25,8 @@ from svdpert.convergence import METRICS
 from svdpert.errors import (
     ConvergenceFailure,
     DimensionMismatch,
+    GapTooSmall,
     InsufficientSamples,
-    TripletMatchAmbiguous,
     ZeroVector,
 )
 
@@ -182,43 +183,67 @@ def test_residuals_at_wide_input_swaps_metrics():
     assert wide.res_sigma == tall.res_sigma
 
 
-def test_residuals_at_ambiguous_match_raises():
-    x = np.diag([2.0, 1.0])
-    e_dir = np.zeros((2, 2))
-    e_dir[0, 1] = 1.0
-    with pytest.raises(TripletMatchAmbiguous) as exc:
-        sp.residuals_at(x, e_dir, 10.0)
-    assert exc.value.overlap < exc.value.threshold == 0.7
-    assert exc.value.epsilon == 10.0
-
-
-def test_residuals_at_untracked_triplet_raises():
-    # at p = 2 the larger of two right-vector overlaps is at least
-    # 1/sqrt(2) > 0.7, so only p >= 3 can lose the triplet itself: here
-    # eps E_dir, with e1 reflected onto (1, 1, 1)/sqrt(3), dominates X and
-    # spreads e1 evenly over the exact right vectors
+def _reflected_diag():
+    """diag(3, 2, 1) and a unit direction that is diag(3, 2, 1) with e1
+    reflected onto (1, 1, 1)/sqrt(3): at epsilon 1e3 it dominates X and
+    spreads e1 evenly over the exact right vectors."""
     x = np.diag([3.0, 2.0, 1.0])
     w = np.array([1.0, 0.0, 0.0]) - np.ones(3) / np.sqrt(3.0)
     h = np.eye(3) - 2.0 * np.outer(w, w) / (w @ w)
     e_dir = h @ x @ h
-    e_dir /= sp.frobenius_norm(e_dir)
-    with pytest.raises(TripletMatchAmbiguous) as exc:
-        sp.residuals_at(x, e_dir, 1e3)
-    best = np.max(np.abs(np.linalg.svd(x + 1e3 * e_dir)[2][:, 0]))
-    assert abs(exc.value.overlap - best) <= 1e-12
-    assert exc.value.overlap < exc.value.threshold
-    assert exc.value.epsilon == 1e3
+    return x, e_dir / sp.frobenius_norm(e_dir), 1e3
 
 
-def test_residuals_at_annihilated_triplet_raises():
-    # eps E_dir = -X exactly: the perturbed matrix is 0, so the tracked
-    # column has no direction to compare against u1
-    x = np.diag([2.0, 1.0])
-    norm = sp.frobenius_norm(x)
-    with pytest.raises(TripletMatchAmbiguous) as exc:
-        sp.residuals_at(x, -x, norm)
-    assert exc.value.overlap == 0.0
-    assert exc.value.epsilon == norm
+# sizes from 22 to 10,000 times the 0.1 * gap limit of a ladder at k = 1:
+# two triplets coupled far past their gap of 1, a direction that dominates
+# X, and epsilon E_dir = -X, which leaves the zero matrix
+BEYOND_THE_GUARD = {
+    "coupled": lambda: (np.diag([2.0, 1.0]), np.array([[0.0, 1.0], [0.0, 0.0]]), 10.0),
+    "dominated": _reflected_diag,
+    "annihilated": lambda: (np.diag([2.0, 1.0]), -np.diag([2.0, 1.0]),
+                            sp.frobenius_norm(np.diag([2.0, 1.0]))),
+}
+
+
+@pytest.mark.parametrize("case", list(BEYOND_THE_GUARD))
+def test_residuals_at_refuses_sizes_beyond_the_ladder_guard(case):
+    x, e_dir, epsilon = BEYOND_THE_GUARD[case]()
+    limit = 0.1 * sp.triplet_gap(sp.svd(x), 1)
+    assert epsilon >= 22 * limit
+    with pytest.raises(ValueError) as exc:
+        sp.residuals_at(x, e_dir, epsilon)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == (
+        f"epsilon {epsilon} must stay below 0.1 * spectral gap ({limit:.3e})")
+
+
+def test_gap_guard_boundary_is_shared():
+    # diag(2, 1) has gap 1 at k = 1: 0.0999 is measured, 0.1 refused, by
+    # residuals_at and by a ladder alike
+    x, e_dir = np.diag([2.0, 1.0]), np.array([[0.0, 1.0], [1.0, 1.0]])
+    assert sp.residuals_at(x, e_dir, 0.0999).res_v > 0.0
+    sp.convergence_ladders(x, e_dir, (FormulaVariant.CORRECTED,), eps0=0.0999)
+    for name, measure in (
+            ("epsilon", lambda: sp.residuals_at(x, e_dir, 0.1)),
+            ("eps0", lambda: sp.convergence_ladders(
+                x, e_dir, (FormulaVariant.CORRECTED,), eps0=0.1))):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} 0.1 must stay below 0.1 * spectral gap (1.000e-01)")):
+            measure()
+
+
+def test_residuals_at_annihilated_rung_raises_gap_too_small():
+    # the guard admits 2^-20 at k = 2 (gap 1 - 2^-20), and X + 2^-20 E_dir
+    # is diag(1, 0): sigma_2 lands exactly on its mirror -sigma_2, leaving
+    # no tracked direction.  Either side of it the rung is measured, past
+    # the mirror with u flipped and divided back by its overlap -1
+    x, e_dir = np.diag([1.0, 2.0**-20]), np.array([[0.0, 0.0], [0.0, -1.0]])
+    with pytest.raises(GapTooSmall) as exc:
+        sp.residuals_at(x, e_dir, 2.0**-20, k=2)
+    assert (exc.value.k, exc.value.gap) == (2, 0.0)
+    for epsilon in (2.0**-19, 2.0**-21):
+        sample = sp.residuals_at(x, e_dir, epsilon, k=2)
+        assert (sample.res_u, sample.res_v) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("epsilon", [np.nan, np.inf, -1e-3])
@@ -226,6 +251,91 @@ def test_residuals_at_rejects_bad_epsilon(epsilon):
     x, e = make_instance(4, 3, 62)
     with pytest.raises(ValueError, match="epsilon"):
         sp.residuals_at(x, e, epsilon)
+
+
+# ----------------------------------------------------------- rung tracking
+
+# tall, wide, square, one column and one row
+TRACKING_SHAPES = [(6, 4), (4, 6), (5, 5), (4, 4), (3, 2), (2, 3), (9, 3),
+                   (12, 8), (7, 1), (1, 7)]
+
+
+@st.composite
+def ladder_probes(draw):
+    """(x, e, k, eps0): a seeded x whose k-th value may sit within
+    1e-8 relative of a neighbour and whose last value may be tiny; a
+    direction random, aligned with the nearest neighbour (both couplings,
+    either sign) or with the complement, plus some noise; and eps0 a
+    fraction of the gap at k up to 0.0999, or beyond the guard."""
+    n, p = draw(st.sampled_from(TRACKING_SHAPES))
+    r, seed = min(n, p), draw(st.integers(0, 2**32))
+    k = draw(st.integers(1, r))
+    sv = [3.0 * 0.7**j for j in range(r)]
+    sv[-1] *= 10.0 ** -draw(st.integers(0, 12))
+    if r > 1 and draw(st.booleans()):
+        m = k if k < r else k - 2
+        delta = 10.0 ** -draw(st.floats(1.0, 8.0))
+        sv[m] = sv[k - 1] * (1.0 - delta if m >= k else 1.0 + delta)
+    x = sp.matrix_with_spectrum(sp.SpectrumSpec(max(n, p), r, sv, seed))
+    x = x.T if n < p else x
+    U, S, Vt = np.linalg.svd(x)  # test-only: full bases, complement included
+    u, v = U[:, k - 1], Vt[k - 1]
+    e = sp.SplitMix64(seed + 1).normal_matrix(n, p)
+    kind = draw(st.sampled_from(["random", "neighbour", "complement"]))
+    # a square x has no complement, a thin one no neighbour: each takes
+    # the other alignment
+    if kind == "complement" and n != p or kind == "neighbour" and r == 1:
+        aligned = np.outer(U[:, r], v) if n > p else np.outer(u, Vt[r])
+    elif kind != "random":
+        m = min((j for j in range(r) if j != k - 1), key=lambda j: abs(S[j] - S[k - 1]))
+        a, b = draw(st.sampled_from([(1, 1), (1, -1), (1, 0), (0, 1)]))
+        aligned = a * np.outer(u, Vt[m]) + b * np.outer(U[:, m], v)
+    if kind != "random":
+        e = aligned + draw(st.sampled_from([0.0, 1e-3, 0.3])) * e / sp.frobenius_norm(e)
+    gap = sp.triplet_gap(sp.svd(x), k)
+    frac = draw(st.one_of(st.just(0.0999), st.floats(1e-3, 0.0999),
+                          st.floats(0.1, 0.6)))
+    return x, e, k, frac * gap
+
+
+def test_every_rung_the_guard_admits_tracks_its_triplet():
+    # the one guard, eps0 < 0.1 * gap, is what keeps each rung's solved
+    # column the tracked triplet: Wedin's bound puts both overlaps above
+    # cos(arcsin(1/9)) > 0.99.  Every ladder the guard admits is checked
+    # for it at 0.98, its overlaps read from the lockstep solve
+    smallest = [math.inf]
+    solve = svdpert.convergence._pivot_sweeps
+
+    @settings(max_examples=200, deadline=None)
+    @given(ladder_probes())
+    def check(probe):
+        x, e, k, eps0 = probe
+        rungs = []
+
+        def spy(stack, pivot):
+            for sigma, u, y in solve(stack, pivot):
+                rungs.append((abs(float(y[pivot])), u))
+                yield sigma, u, y
+
+        with mock.patch.object(svdpert.convergence, "_pivot_sweeps", spy):
+            try:
+                sp.convergence_ladders(x, e, (FormulaVariant.CORRECTED,), k=k,
+                                       eps0=eps0, count=4)
+            except InsufficientSamples:
+                pass  # an aligned direction can leave a metric unmoved
+            except (ValueError, GapTooSmall):
+                assert not rungs  # refused by the guard or the partition
+                return
+        u1 = sp.svd(x if x.shape[0] >= x.shape[1] else x.T).U[:, k - 1]
+        overlaps = [min(right, abs(float(u @ u1))) for right, u in rungs]
+        assert len(overlaps) == 4
+        smallest[0] = min(smallest[0], *overlaps)
+        target(-min(overlaps))
+        assert min(overlaps) >= 0.98, (min(overlaps), eps0)
+
+    check()
+    print(f"\nsmallest rung overlap over the admitted ladders: {smallest[0]:.4f}")
+    assert smallest[0] >= 0.98
 
 
 # --------------------------------------------------------------- slope fits
@@ -531,7 +641,7 @@ def test_scaled_predictions_are_expand_triplet_bitwise(monkeypatch, n, p, k, tra
     # be bitwise expand_triplet's at the rung's epsilon, order of additions
     # included
     x, e = ladder_instance(n, p, k, transpose)
-    (_, Eo, swapped), full, part = svdpert.convergence._decompose(x, e, k)
+    (_, Eo, swapped), full, part = svdpert.convergence._decompose(x, e, k, "eps0", 0.0)
     j = k - 1
 
     def unperturbed(stack, pivot, *budget):

@@ -618,7 +618,7 @@ def test_pivot_sweeps_rungs_that_end_at_different_sweeps(k, budgets):
     x, e = (sp.matrix_with_spectrum(sp.SpectrumSpec(n=30, p=9, seed=seed,
                                                      singular_values=sv))
             for seed in (11, 12))
-    (xo, eo, _), full, _ = svdpert.convergence._decompose(x, e, k)
+    (xo, eo, _), full, _ = svdpert.convergence._decompose(x, e, k, "eps0", 0.0)
     eps = [1e-2 * 0.5**i for i in range(8)]
     stack = xo @ full.V + np.multiply.outer(eps, eo @ full.V)
     assert assert_stack_solves_each_rung_alone(stack, k - 1) == budgets
