@@ -18,10 +18,11 @@ scaled to every rung.  The rungs' exact triplets are solved together, each
 with arithmetic of its own: one-sided Jacobi on (X + epsilon E) V0, V0 the
 right singular vectors of X, rotating only the pairs that contain the
 tracked column k until it is orthogonal to all others.  One guard decides
-which sizes are measured: epsilon < 0.1 * gap, the spectral gap at k.
-Below it, Wedin's sin-theta theorem (BIT 12, 1972) keeps each rung's
-singular vectors within arcsin(epsilon / (gap - epsilon)) < arcsin(1/9) of
-the unperturbed ones, so the column solved is the tracked triplet.
+which sizes are measured: epsilon < 0.1 * gap, triplet_gap at k.  Below
+it, Wedin's sin-theta theorem (BIT 12, 1972) keeps each rung's singular
+vectors within arcsin(epsilon / (gap - epsilon)) < arcsin(1/9) of the
+unperturbed ones, so the column solved is the tracked triplet, and Weyl's
+inequality keeps its value above 0.8 sigma_k.
 """
 
 import math
@@ -32,7 +33,6 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     FitUnreliable,
-    GapTooSmall,
     InsufficientSamples,
     NotDemonstrable,
     ZeroVector,
@@ -187,11 +187,11 @@ def _score_ladder(problem, full, part, eps0: float, scales, variants) -> list:
     solves the stack Xo V0 + epsilon_i (Eo V0), V0 = full.V, on column k - 1
     (at epsilon 0 the triplet is full's own); v = V0 y.  Each exact vector is
     divided by its overlap with the unperturbed one, y[k - 1] or u @ u1, into
-    the prediction's affine chart; _decompose's guard keeps both near 1.  A
-    rung whose singular value is exactly 0 (a square X whose sigma_k epsilon
-    E moved onto its mirror -sigma_k) raises GapTooSmall(k, 0.0) first.  E
-    is projected once, as eps0 * Eo, and _prediction scales each
-    variant's corrections to rung i by scales[i]: bitwise expand_triplet at
+    the prediction's affine chart; _decompose's guard keeps both near 1.
+    It also keeps every rung's singular value above 0.8 sigma_k (Weyl's
+    inequality, as epsilon < 0.1 gap <= 0.2 sigma_k), so none is 0.  E is
+    projected once, as eps0 * Eo, and _prediction scales each variant's
+    corrections to rung i by scales[i]: bitwise expand_triplet at
     epsilon_i when that is a power of two, barring subnormals.
     """
     Xo, Eo, swapped = problem
@@ -203,11 +203,8 @@ def _score_ladder(problem, full, part, eps0: float, scales, variants) -> list:
         stack = Xo @ full.V + np.multiply.outer(epsilons, Eo @ full.V)
         rungs = ((sigma, u, full.V @ y, float(y[j]))
                  for sigma, u, y in _pivot_sweeps(stack, j))
-    exact = []
-    for sigma, u, v, right in rungs:
-        if sigma == 0.0:
-            raise GapTooSmall(part.k, 0.0)
-        exact.append((sigma, u / float(u @ part.u1), v / right))
+    exact = [(sigma, u / float(u @ part.u1), v / right)
+             for sigma, u, v, right in rungs]
     sigmas, us, vs = (np.array(column) for column in zip(*exact))
     proj = compute_projections(part, eps0 * Eo)
     s = np.array(scales)[:, None]
@@ -322,7 +319,7 @@ def convergence_ladders(X, E_dir, variants, k: int = 1, eps0: float = 1e-2,
     is solved.  Each rung's arithmetic is its own, so reports are bitwise
     reproducible and, with factor 0.5, every sample is residuals_at's at
     its epsilon.  The first rung that exhausts the sweep budget raises
-    ConvergenceFailure, and one whose singular value is exactly 0 GapTooSmall.
+    ConvergenceFailure.
     """
     variants = tuple(variants)
     if not variants:

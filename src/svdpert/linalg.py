@@ -308,7 +308,7 @@ def _pivot_sweeps(X: np.ndarray, pivot: int, max_sweeps: int = JACOBI_SWEEP_LIMI
         if turning:
             raise ConvergenceFailure(
                 f"one-sided Jacobi did not converge in {max_sweeps} sweeps")
-        # not w @ w, whose bits follow w's alignment; a zero sigma is refused later
+        # not w @ w, whose bits follow w's alignment; a zero w is yielded as is
         norm = math.sqrt(float(np.add.reduce(w * w)))
         yield math.ldexp(norm, int(exponent)), (w / norm if norm else w), y
 

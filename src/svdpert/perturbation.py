@@ -41,6 +41,7 @@ that cannot even be formed as matrix products.
 """
 
 import math
+import sys
 from enum import Enum
 from typing import NamedTuple
 
@@ -56,8 +57,8 @@ from .errors import (
 )
 from .linalg import Svd, as_matrix, svd
 
-# Relative spectral-separation tolerance: a triplet closer than this to any
-# other singular value (sigma_max-relative) is rejected.
+# Relative spectral-separation tolerance: a triplet whose gap (triplet_gap)
+# is at or below this times sigma_max is rejected.
 GAP_TOL = 1e-8
 
 
@@ -205,21 +206,22 @@ CATALOG = (
 
 
 def triplet_gap(full: Svd, k: int) -> float:
-    """Absolute spectral separation of the k-th singular value.
+    """delta0, the distance from sigma_k to the rest of the spectrum of the
+    Jordan-Wielandt matrix [[0, X], [X^T, 0]], the same for X and X^T.
 
-    Measures the distance to every other singular value; when n != p the
-    complement of the shorter side contributes singular value 0, so
-    sigma_k itself joins the candidate set.  The gap is the same for the
-    SVD of X and of X^T.
+    The least of |sigma_k - sigma_j|, j != k, and of sigma_k (the zero
+    spectrum) when n != p or of 2 sigma_k (the mirror -sigma_k, capped at
+    the largest double) when n == p.  Both separation checks read it:
+    partition_svd's GapTooSmall and the ladder guard eps < 0.1 * gap
+    (Wedin, BIT 12, 1972).
     """
     S = full.S
     if not 1 <= k <= len(S):
         raise IndexOutOfRange(f"k must be in 1..{len(S)}, got {k}")
     sk = float(S[k - 1])
-    diffs = [abs(sk - float(S[j])) for j in range(len(S)) if j != k - 1]
-    if full.U.shape[0] != full.V.shape[0]:
-        diffs.append(sk)
-    return min(diffs) if diffs else sk
+    others = [abs(sk - float(S[j])) for j in range(len(S)) if j != k - 1]
+    mirror = sk if full.U.shape[0] != full.V.shape[0] else 2.0 * sk
+    return min(others + [mirror, sys.float_info.max])
 
 
 def tall_problem(X, E):
@@ -243,22 +245,18 @@ def partition_svd(full: Svd, k: int) -> SvdPartition:
     """Split a thin SVD (taller-or-square orientation) around triplet k.
 
     Raises IndexOutOfRange (from triplet_gap) unless 1 <= k <= p, and
-    GapTooSmall when the separation of sigma_k (including the zero
-    spectrum of the complement when n > p) falls at or below GAP_TOL
-    relative to sigma_max, or when sigma_k itself is zero.
+    GapTooSmall when triplet_gap's delta0 falls at or below GAP_TOL
+    relative to sigma_max; a zero sigma_k has delta0 = 0.
     """
     n = full.U.shape[0]
     p = full.V.shape[0]
     if n < p:
         raise InvalidDims(f"need taller-or-square orientation, got {n}x{p}")
     S = full.S
-    smax = float(S[0])
     gap = triplet_gap(full, k)
-    if gap <= GAP_TOL * smax:
+    if gap <= GAP_TOL * float(S[0]):
         raise GapTooSmall(k, gap)
     sigma1 = float(S[k - 1])
-    if sigma1 <= GAP_TOL * smax:
-        raise GapTooSmall(k, sigma1)
     keep = np.arange(p) != (k - 1)
     # .copy() keeps these C-ordered (mask indexing gives F-ordered copies);
     # the memory order sets the BLAS summation order, hence the output bits
@@ -341,7 +339,8 @@ def variant_coefficients(
     of sigma1: the squares then neither overflow nor underflow, and g2, h2
     are bitwise invariant when X and E are scaled by 2^j.  Squares are
     products, not **, which calls the C library's pow: that is not
-    correctly rounded.
+    correctly rounded.  The denominator guard checks hand-built partitions:
+    partition_svd's have |sigma1^2 - sigma_j^2| >= gap * sigma1.
     """
     e = math.frexp(part.sigma1)[1]
     s1 = math.ldexp(part.sigma1, -e)

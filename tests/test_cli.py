@@ -499,15 +499,17 @@ def test_verify_noise_floor_exits_4(tmp_path):
     assert "noise floor" in err
 
 
-def test_verify_annihilated_rung_exits_3(tmp_path):
-    # the fourth rung, epsilon 2^-20, is diag(1, 0): the tracked singular
-    # value is exactly 0, sigma_2 moved onto its mirror -sigma_2
+def test_verify_annihilated_rung_exits_2(tmp_path):
+    # the fourth rung, epsilon 2^-20, would be diag(1, 0), sigma_2 moved
+    # onto its mirror -sigma_2; the gap at k = 2 is the mirror distance
+    # 2 sigma_2 = 2^-19, so the guard refuses eps0 = 2^-17 before any rung
     x, e = tmp_path / "x.mtx", tmp_path / "e.mtx"
     sp.write_matrix(x, np.diag([1.0, 2.0**-20]))
     sp.write_matrix(e, np.array([[0.0, 0.0], [0.0, -1.0]]))
     assert run_cli(["verify", "--x", str(x), "--edir", str(e), "--k", "2",
                     "--eps0", "7.62939453125e-06"]) == (
-        3, "", "error: triplet 2: spectral separation 0.000e+00 is below tolerance\n")
+        2, "", "error: eps0 7.62939453125e-06 must stay below 0.1 * spectral "
+               "gap (1.907e-07)\n")
 
 
 def test_verify_gap_too_small_exits_3(tmp_path):

@@ -232,18 +232,35 @@ def test_gap_guard_boundary_is_shared():
             measure()
 
 
-def test_residuals_at_annihilated_rung_raises_gap_too_small():
-    # the guard admits 2^-20 at k = 2 (gap 1 - 2^-20), and X + 2^-20 E_dir
-    # is diag(1, 0): sigma_2 lands exactly on its mirror -sigma_2, leaving
-    # no tracked direction.  Either side of it the rung is measured, past
-    # the mirror with u flipped and divided back by its overlap -1
+def test_residuals_at_annihilated_rung_is_refused_by_the_guard():
+    # X + 2^-20 E_dir is diag(1, 0): sigma_2 lands exactly on its mirror
+    # -sigma_2.  The gap at k = 2 is the mirror distance 2 sigma_2 = 2^-19,
+    # so the guard refuses that size and those either side of it; under
+    # the guard the rung is measured, with zero vector residuals
     x, e_dir = np.diag([1.0, 2.0**-20]), np.array([[0.0, 0.0], [0.0, -1.0]])
-    with pytest.raises(GapTooSmall) as exc:
-        sp.residuals_at(x, e_dir, 2.0**-20, k=2)
-    assert (exc.value.k, exc.value.gap) == (2, 0.0)
-    for epsilon in (2.0**-19, 2.0**-21):
-        sample = sp.residuals_at(x, e_dir, epsilon, k=2)
-        assert (sample.res_u, sample.res_v) == (0.0, 0.0)
+    assert sp.triplet_gap(sp.svd(x), 2) == 2.0**-19
+    for epsilon in (2.0**-19, 2.0**-20, 2.0**-21):
+        with pytest.raises(ValueError, match=re.escape(
+                f"epsilon {epsilon} must stay below 0.1 * spectral gap (1.907e-07)")):
+            sp.residuals_at(x, e_dir, epsilon, k=2)
+    sample = sp.residuals_at(x, e_dir, 2.0**-23, k=2)
+    assert (sample.res_u, sample.res_v) == (0.0, 0.0)
+
+
+def test_ladder_across_the_mirror_is_refused_before_solving(monkeypatch):
+    # sigma_4 = 1e-4 lies 1 - 1e-4 from its neighbour but 2e-4 from its
+    # mirror -sigma_4.  Rungs at eps0 = 1e-3 would carry it through 0,
+    # where res_sigma turns first order: guarded by the neighbour alone,
+    # this ladder fitted order_sigma 5.76 at r2 0.876
+    def solve(*args):
+        raise AssertionError("a rung was solved")
+
+    monkeypatch.setattr(svdpert.convergence, "_pivot_sweeps", solve)
+    x = sp.matrix_with_spectrum(sp.SpectrumSpec(4, 4, (3, 2, 1, 1e-4), 3))
+    e_dir = -sp.SplitMix64(9).normal_matrix(4, 4)
+    with pytest.raises(ValueError, match=re.escape(
+            "eps0 0.001 must stay below 0.1 * spectral gap (2.000e-05)")):
+        sp.convergence_ladder(x, e_dir, k=4, eps0=1e-3)
 
 
 @pytest.mark.parametrize("epsilon", [np.nan, np.inf, -1e-3])
@@ -265,8 +282,9 @@ def ladder_probes(draw):
     """(x, e, k, eps0): a seeded x whose k-th value may sit within
     1e-8 relative of a neighbour and whose last value may be tiny; a
     direction random, aligned with the nearest neighbour (both couplings,
-    either sign) or with the complement, plus some noise; and eps0 a
-    fraction of the gap at k up to 0.0999, or beyond the guard."""
+    either sign), with the complement, or with -u_k v_k^T, which moves
+    sigma_k towards its mirror, plus some noise; and eps0 a fraction of
+    the gap at k up to 0.0999, or beyond the guard."""
     n, p = draw(st.sampled_from(TRACKING_SHAPES))
     r, seed = min(n, p), draw(st.integers(0, 2**32))
     k = draw(st.integers(1, r))
@@ -281,10 +299,12 @@ def ladder_probes(draw):
     U, S, Vt = np.linalg.svd(x)  # test-only: full bases, complement included
     u, v = U[:, k - 1], Vt[k - 1]
     e = sp.SplitMix64(seed + 1).normal_matrix(n, p)
-    kind = draw(st.sampled_from(["random", "neighbour", "complement"]))
+    kind = draw(st.sampled_from(["random", "neighbour", "complement", "mirror"]))
     # a square x has no complement, a thin one no neighbour: each takes
     # the other alignment
-    if kind == "complement" and n != p or kind == "neighbour" and r == 1:
+    if kind == "mirror":
+        aligned = -np.outer(u, v)
+    elif kind == "complement" and n != p or kind == "neighbour" and r == 1:
         aligned = np.outer(U[:, r], v) if n > p else np.outer(u, Vt[r])
     elif kind != "random":
         m = min((j for j in range(r) if j != k - 1), key=lambda j: abs(S[j] - S[k - 1]))
@@ -302,19 +322,23 @@ def test_every_rung_the_guard_admits_tracks_its_triplet():
     # the one guard, eps0 < 0.1 * gap, is what keeps each rung's solved
     # column the tracked triplet: Wedin's bound puts both overlaps above
     # cos(arcsin(1/9)) > 0.99.  Every ladder the guard admits is checked
-    # for it at 0.98, its overlaps read from the lockstep solve
+    # for it at 0.98, its overlaps read from the lockstep solve.  The gap
+    # is at most 2 sigma_k, so by Weyl's inequality every rung's value
+    # also stays above 0.8 sigma_k, and none reaches the mirror -sigma_k
     smallest = [math.inf]
     solve = svdpert.convergence._pivot_sweeps
 
     @settings(max_examples=200, deadline=None)
     @given(ladder_probes())
+    # rungs 2^-21 to 2^-24 would carry sigma_2 = 2^-20 down to half its value
+    @example((np.diag([1.0, 2.0**-20]), np.diag([0.0, -1.0]), 2, 2.0**-21))
     def check(probe):
         x, e, k, eps0 = probe
         rungs = []
 
         def spy(stack, pivot):
             for sigma, u, y in solve(stack, pivot):
-                rungs.append((abs(float(y[pivot])), u))
+                rungs.append((abs(float(y[pivot])), u, sigma))
                 yield sigma, u, y
 
         with mock.patch.object(svdpert.convergence, "_pivot_sweeps", spy):
@@ -326,11 +350,15 @@ def test_every_rung_the_guard_admits_tracks_its_triplet():
             except (ValueError, GapTooSmall):
                 assert not rungs  # refused by the guard or the partition
                 return
-        u1 = sp.svd(x if x.shape[0] >= x.shape[1] else x.T).U[:, k - 1]
-        overlaps = [min(right, abs(float(u @ u1))) for right, u in rungs]
+        full = sp.svd(x if x.shape[0] >= x.shape[1] else x.T)
+        u1, sigma_k = full.U[:, k - 1], float(full.S[k - 1])
+        overlaps = [min(right, abs(float(u @ u1))) for right, u, _ in rungs]
         assert len(overlaps) == 4
+        lowest = min(sigma for _, _, sigma in rungs) / sigma_k
         smallest[0] = min(smallest[0], *overlaps)
-        target(-min(overlaps))
+        target(-min(overlaps), label="overlap")
+        target(-lowest, label="value")
+        assert lowest >= 0.8, (lowest, eps0)
         assert min(overlaps) >= 0.98, (min(overlaps), eps0)
 
     check()

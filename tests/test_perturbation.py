@@ -7,6 +7,7 @@ exact decomposition of the perturbed matrix, and algebraic identities
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -113,6 +114,12 @@ def test_triplet_gap_cases():
     # ... also when the zero comes from the right complement
     wide = sp.svd(np.array([[3.0, 0.0, 0.0], [0.0, 1e-3, 0.0]]))
     assert sp.triplet_gap(wide, 2) == 1e-3
+    # square: no zero spectrum, but the mirror -sigma_3 lies 2 sigma_3 away
+    assert sp.triplet_gap(sp.svd(np.diag([3.0, 2.0, 1e-3])), 3) == 2e-3
+    # a 1 x 1 has no other value, only its mirror, whose distance rounds
+    # down to the largest double when 2 sigma_1 overflows
+    assert sp.triplet_gap(sp.svd(np.array([[5.0]])), 1) == 10.0
+    assert sp.triplet_gap(sp.svd(np.array([[1.5e308]])), 1) == sys.float_info.max
 
 
 @pytest.mark.parametrize("x", [

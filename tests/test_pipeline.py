@@ -88,6 +88,18 @@ def test_verify_certifies_or_refuses_at_a_known_failing_draw():
     _check_certifies_or_refuses((9, 9, 8), 0, 244811900)
 
 
+def test_gap_eps0_certifies_a_square_ladder_near_its_mirror():
+    # sigma_2 = 3e-4 lies 2 sigma_2 from its mirror -sigma_2.  A gap that
+    # missed the mirror gave eps0 = 2^-3, whose rungs cross it: that ladder
+    # certified a wrong order_sigma of 1.1161 at r2 0.9945
+    X = sp.matrix_with_spectrum(sp.SpectrumSpec(2, 2, (3.0, 3e-4), 0))
+    E = sp.SplitMix64(100).normal_matrix(2, 2)
+    report = sp.convergence_ladder(X, E, k=2, eps0=_gap_eps0(X, 2))
+    assert report.refusal is None, report.refusal
+    for fit in report.fits:
+        assert abs(fit.order - 2.0) <= 0.1, fit
+
+
 @pytest.mark.xfail(raises=InsufficientSamples, reason=(
     "the length-1 singular vector is exact, so its residual is 0 on every "
     "rung and no order can be fitted; ROADMAP item 10"))
