@@ -146,16 +146,25 @@ def _check_ladder(eps) -> None:
 
 def align_sign(reference, candidate) -> np.ndarray:
     """Return candidate or -candidate, whichever has nonnegative inner
-    product with reference (a zero inner product keeps candidate)."""
+    product with reference (a zero inner product keeps candidate).  The
+    inner product is taken on each vector scaled by 2^-e, e its
+    _exponent, as frobenius_norm scales, so it cannot overflow nor its
+    leading terms underflow, and align_sign(2^i r, 2^j c) ==
+    2^j align_sign(r, c) exactly.  A non-finite vector raises ValueError
+    naming it; a zero candidate raises ZeroVector."""
     ref = np.asarray(reference, dtype=float).reshape(-1)
     cand = np.asarray(candidate, dtype=float).reshape(-1)
     if ref.shape != cand.shape:
         raise DimensionMismatch(
             f"vectors must have equal length, got {ref.shape[0]} vs {cand.shape[0]}"
         )
-    if not float(cand @ cand) > 0.0:
+    for name, v in (("reference", ref), ("candidate", cand)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} vector is not finite")
+    if not cand.any():
         raise ZeroVector("candidate vector is zero")
-    return cand if float(ref @ cand) >= 0.0 else -cand
+    r, c = (np.ldexp(v, -_exponent(v)) for v in (ref, cand))
+    return cand if float(r @ c) >= 0.0 else -cand
 
 
 def _decompose(X, E_dir, k: int, name: str, epsilon: float) -> tuple:

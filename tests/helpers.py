@@ -2,8 +2,16 @@
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 
 import svdpert as sp
+
+TESTS = Path(__file__).resolve().parent
 
 
 def geometric_spectrum(p, top=3.0, ratio=0.65):
@@ -32,6 +40,30 @@ def run_cli(argv):
         except SystemExit as exc:  # argparse usage failures
             code = exc.code if exc.code is not None else 0
     return code, out.getvalue(), err.getvalue()
+
+
+def run_child(*args, **kwargs):
+    """subprocess.run of a fresh interpreter with args, importing svdpert
+    from this checkout's src/, installed or not, and these helpers."""
+    path = [str(TESTS.parent / "src"), str(TESTS), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=300, env=env, **kwargs)
+
+
+def beyond_double_range(case):
+    """(X, E) for which expand's largest singular value of X, its sigma~,
+    its coefficients or the norm of its f31 lies beyond the double range,
+    every entry finite."""
+    seed = {"spectrum": 10, "sigma_tilde": 0}.get(case)
+    if seed is not None:  # sigma1, or sigma1 and theta1 (both 1.785e308)
+        x = np.ldexp(sp.SplitMix64(seed).normal_matrix(5, 3), 1022)
+        return x, x
+    if case == "coefficients":
+        return np.array([[1.0, 0.0], [0.0, 0.5], [0.0, 0.0]]), np.full((3, 2), 1e308)
+    x, e = np.zeros((4, 2)), np.zeros((4, 2))
+    x[0, 0], x[1, 1], e[2:, 0] = 2.0, 1.0, 1.7e308
+    return x, e
 
 
 def parse_kv(stdout):

@@ -1,15 +1,12 @@
 """Command-line behavior: output grammar, file handling, exit codes.
 
-Commands run in process through main(); one subprocess smoke test covers
-the installed entry point.
+Commands run in process through main(); tests/test_processes.py runs them
+in fresh interpreters and through run()'s sys.exit.
 """
 
 import functools
 import math
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import parse_kv, run_cli
+from helpers import beyond_double_range, parse_kv, run_child, run_cli
 
 import svdpert as sp
 import svdpert.cli
@@ -236,20 +233,8 @@ def test_expand_far_scaled_input_is_scaled_output(tmp_path):
         assert got == pytest.approx(want, rel=1e-12), key
 
 
-def _beyond_double_range(case):
-    """(X, E) for which expand's sigma~, its coefficients or the norm of its
-    f31 lies beyond the double range, every entry finite."""
-    if case == "sigma_tilde":  # sigma1 and theta1 both 1.785e308
-        x = np.ldexp(sp.SplitMix64(0).normal_matrix(5, 3), 1022)
-        return x, x
-    if case == "coefficients":
-        return np.array([[1.0, 0.0], [0.0, 0.5], [0.0, 0.0]]), np.full((3, 2), 1e308)
-    x, e = np.zeros((4, 2)), np.zeros((4, 2))
-    x[0, 0], x[1, 1], e[2:, 0] = 2.0, 1.0, 1.7e308
-    return x, e
-
-
 @pytest.mark.parametrize("case, message", [
+    ("spectrum", "the largest singular value of X lies beyond the double range"),
     ("sigma_tilde", "a result of the expansion lies beyond the double range"),
     ("coefficients", "a result of the expansion lies beyond the double range"),
     ("f31_norm", "the Frobenius norm lies beyond the double range"),
@@ -258,7 +243,7 @@ def test_expand_result_beyond_double_range_exits_2(tmp_path, case, message):
     # SpectrumOverflow before anything is printed, and no RuntimeWarning
     # (which the suite raises as an error)
     x, e = tmp_path / "x.mtx", tmp_path / "e.mtx"
-    for path, a in zip((x, e), _beyond_double_range(case)):
+    for path, a in zip((x, e), beyond_double_range(case)):
         sp.write_matrix(path, a)
     assert run_cli(["expand", "--x", str(x), "--e", str(e)]) == (
         2, "", f"error: {message}\n")
@@ -673,26 +658,6 @@ def test_parser_built_once_keeps_calls_apart(tmp_path, monkeypatch):
     assert cached[1] == cached[3] == fresh[1]
     assert cached[0] != cached[1]
     assert cached[4:] == fresh[2:]
-
-
-def run_child(*args):
-    """Run a fresh interpreter with args; it imports svdpert from this
-    checkout's src/, installed or not."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True,
-        text=True,
-        timeout=300,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-
-
-def test_module_entry_point_subprocess():
-    proc = run_child("-m", "svdpert", "errata")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[0].startswith("item,formula,defect")
 
 
 def test_import_builds_no_dataclass():

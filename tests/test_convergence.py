@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, target
+from hypothesis import assume, example, given, settings, target
 from hypothesis import strategies as st
 
 from helpers import make_instance, run_cli
@@ -51,6 +51,32 @@ def test_align_sign_errors():
         sp.align_sign(np.array([1.0]), np.array([0.0]))
     with pytest.raises(DimensionMismatch):
         sp.align_sign(np.array([1.0, 0.0]), np.array([1.0]))
+    for ref, cand, name in ((1.0, np.nan, "candidate"), (np.nan, 1.0, "reference"),
+                            (1.0, np.inf, "candidate")):
+        with pytest.raises(ValueError, match=f"^{name} vector is not finite$"):
+            sp.align_sign(np.array([ref, 0.0]), np.array([cand, 0.0]))
+
+
+def test_align_sign_far_from_the_unit_scale():
+    # squares that underflow leave the candidate nonzero, and products
+    # that overflow raise no warning
+    tiny, huge = np.array([1e-200, 0.0]), np.array([-1e200, 1e200])
+    assert np.array_equal(sp.align_sign(np.array([1.0, 0.0]), tiny), tiny)
+    assert np.array_equal(sp.align_sign(-huge, huge), -huge)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
+                      min_size=1, max_size=6),
+       i=st.integers(-1000, 1000), j=st.integers(-1000, 1000))
+def test_align_sign_power_of_two_scaling_is_bitwise(pairs, i, j):
+    r, c = np.array(pairs).T
+    scaled = np.ldexp(r, i), np.ldexp(c, j)
+    # normal inputs: both scalings are exact
+    assume(np.array_equal(np.ldexp(scaled[0], -i), r)
+           and np.array_equal(np.ldexp(scaled[1], -j), c) and c.any())
+    want = np.ldexp(sp.align_sign(r, c), j)
+    assert sp.align_sign(*scaled).tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------------------ records
