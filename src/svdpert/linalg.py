@@ -440,24 +440,28 @@ def svd(x, max_sweeps: int = JACOBI_SWEEP_LIMIT) -> Svd:
 
 
 def qr_orthonormal(a) -> np.ndarray:
-    """Orthonormal basis of the column span: the Q of _preconditioning_qr
-    without pivoting, with the diagonal of R made nonnegative (so a matrix
-    that already has orthonormal columns is reproduced up to roundoff).
+    """Orthonormal basis of the column span: the Q of an unpivoted
+    Householder QR, LAPACK's dgeqrf and dorgqr through np.linalg.qr, with
+    the diagonal of R made nonnegative (so a matrix that already has
+    orthonormal columns is reproduced up to roundoff).  svd keeps its own
+    QRs, _preconditioning_qr and _reflect, so its bits do not follow LAPACK.
 
     Raises RankDeficient when any |R[k, k]| falls at or below QR_RANK_TOL
     times the Frobenius norm of the input.  The factorization runs on A
     scaled by a power of two into max |A| in [0.5, 1), so Q is bitwise the
-    same for every power-of-two multiple of A.
+    same for every power-of-two multiple of A.  np.linalg.qr copies its
+    input into its own Fortran-order buffer, so Q does not follow A's
+    layout either.
     """
     A = as_matrix(a, "A")
     n, m = A.shape
     if n < m:
         raise DimensionMismatch(f"need rows >= cols, got {A.shape}")
     A = np.ldexp(A, -_exponent(A))
-    R, _, reflectors = _preconditioning_qr(A, pivot=False)
+    Q, R = np.linalg.qr(A)
     diag = np.diag(R)
     if np.any(np.abs(diag) <= QR_RANK_TOL * frobenius_norm(A)):
         raise RankDeficient(
             f"column span has numerical rank below {m} "
             f"(min |R_kk| = {float(np.min(np.abs(diag))):.3e})")
-    return _reflect(reflectors, np.eye(n, m)) * np.sign(diag)
+    return Q * np.sign(diag)

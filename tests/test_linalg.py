@@ -742,19 +742,32 @@ def test_qr_orthogonality_seeded():
     # one panel, one full panel, and one or two columns past a panel
     (40, 15), (40, 16), (40, 17), (40, 32), (40, 33),
 ])
-def test_qr_thin_q_against_lapack(shape):
+def test_qr_thin_q_against_householder(shape):
     a = sp.SplitMix64(31).normal_matrix(*shape)
     q = sp.qr_orthonormal(a)
     assert q.shape == shape
     assert np.max(np.abs(q.T @ q - np.eye(shape[1]))) <= 1e-13
-    # test-only oracle: LAPACK's QR with the diagonal of R made nonnegative
-    q_ref, r_ref = np.linalg.qr(a)
+    # oracle: svd's own blocked Householder QR, independent of LAPACK,
+    # with the diagonal of R made nonnegative
+    r_ref, _, reflectors = _preconditioning_qr(a, pivot=False)
     signs = np.sign(np.diag(r_ref))
+    q_ref = _reflect(reflectors, np.eye(*shape)) * signs
     r = q.T @ a
     scale = sp.frobenius_norm(a)
-    assert np.max(np.abs(q - q_ref * signs)) <= 1e-13
+    assert np.max(np.abs(q - q_ref)) <= 1e-13
     assert np.max(np.abs(r - signs[:, None] * r_ref)) <= 1e-13 * scale
     assert np.max(np.abs(q @ np.triu(r) - a)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (40, 20), (150, 150), (300, 150)])
+def test_qr_does_not_follow_the_input_layout(shape):
+    # C order, Fortran order and a view 8 bytes off its buffer's alignment
+    a = sp.SplitMix64(47).normal_matrix(*shape)
+    shifted = np.empty(a.size + 1)[1:].reshape(shape)
+    shifted[...] = a
+    q = sp.qr_orthonormal(a)
+    for layout in (np.asfortranarray(a), shifted):
+        assert np.array_equal(sp.qr_orthonormal(layout), q)
 
 
 def test_qr_rank_deficient_raises():
@@ -810,11 +823,16 @@ def test_qr_wide_raises():
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=-900, max_value=900),
-       st.integers(min_value=0, max_value=2**32))
-@example(j=900, seed=3)
-@example(j=-900, seed=3)
-def test_qr_power_of_two_scaling_is_bitwise(j, seed):
-    a = sp.SplitMix64(seed).normal_matrix(7, 4)
+       st.integers(min_value=0, max_value=2**32),
+       st.sampled_from([(7, 4), (300, 150)]))
+@example(j=900, seed=3, shape=(7, 4))
+@example(j=-900, seed=3, shape=(7, 4))
+# past LAPACK's crossover to blocked QR
+@example(j=900, seed=3, shape=(300, 150))
+@example(j=-900, seed=3, shape=(300, 150))
+@example(j=1, seed=3, shape=(300, 150))
+def test_qr_power_of_two_scaling_is_bitwise(j, seed, shape):
+    a = sp.SplitMix64(seed).normal_matrix(*shape)
     assert np.array_equal(sp.qr_orthonormal(a * 2.0**j), sp.qr_orthonormal(a))
 
 
