@@ -446,12 +446,12 @@ def qr_orthonormal(a) -> np.ndarray:
     orthonormal columns is reproduced up to roundoff).  svd keeps its own
     QRs, _preconditioning_qr and _reflect, so its bits do not follow LAPACK.
 
-    Raises RankDeficient when any |R[k, k]| falls at or below QR_RANK_TOL
-    times the Frobenius norm of the input.  The factorization runs on A
-    scaled by a power of two into max |A| in [0.5, 1), so Q is bitwise the
-    same for every power-of-two multiple of A.  np.linalg.qr copies its
-    input into its own Fortran-order buffer, so Q does not follow A's
-    layout either.
+    The factorization runs on A scaled by a power of two into max |A| in
+    [0.5, 1), so Q is bitwise the same for every power-of-two multiple of
+    A; there frobenius_norm(A) is the plain root of A's sum of squares,
+    and any |R[k, k]| at or below QR_RANK_TOL times it raises
+    RankDeficient.  np.linalg.qr copies its input into its own
+    Fortran-order buffer, so Q does not follow A's layout either.
     """
     A = as_matrix(a, "A")
     n, m = A.shape
@@ -460,8 +460,8 @@ def qr_orthonormal(a) -> np.ndarray:
     A = np.ldexp(A, -_exponent(A))
     Q, R = np.linalg.qr(A)
     diag = np.diag(R)
-    if np.any(np.abs(diag) <= QR_RANK_TOL * frobenius_norm(A)):
+    if np.any(np.abs(diag) <= QR_RANK_TOL * float(np.sqrt(np.sum(A * A)))):
         raise RankDeficient(
             f"column span has numerical rank below {m} "
             f"(min |R_kk| = {float(np.min(np.abs(diag))):.3e})")
-    return Q * np.sign(diag)
+    return np.multiply(Q, np.sign(diag), out=Q)

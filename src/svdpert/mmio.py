@@ -47,9 +47,8 @@ _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's constant for doubles
 @functools.cache
 def _tables():
     """_fmt17's tables, built on its first call: 10^s for s in [0, 22], all
-    exact, over its two Veltkamp halves; for q in [0, 10^4), "%04d" % q in
-    ASCII read as one little-endian word (then a zero word) and its count
-    of trailing zeros; and the layout masks.
+    exact, over its two Veltkamp halves; for q in [0, 10^4), "%04d" % q as
+    a little-endian word and its count of trailing zeros; the layout masks.
 
     _fmt17 builds a row of 32 bytes per entry and drops its NUL bytes: the
     sign at byte 2, "%.17g"'s digits, dot and zeros at bytes 3-24 (j =
@@ -63,8 +62,7 @@ def _tables():
     pow10 = np.cumprod(np.r_[1.0, np.full(22, 10.0)])
     hi = _SPLIT * pow10 - (_SPLIT * pow10 - pow10)
     digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)  # column q
-    quads = np.zeros(10001, "<u4")
-    quads[:-1] = np.ascontiguousarray((48 + digits).T).view("<u4")[:, 0]
+    quads = np.ascontiguousarray((48 + digits).T).view("<u4")[:, 0]
     trailing = np.logical_and.accumulate(digits[::-1] == 0).sum(axis=0)
     E, k = np.divmod(np.arange(22 * 17), 17)
     E, k = E[:, None] - 6, k[:, None] + 1
@@ -89,12 +87,16 @@ def _scaled(a, s, pow10):
 
 
 def _fmt17(x: np.ndarray, end: bytes) -> bytes:
-    """b"%.17g" % v + end for each v of the float64 vector x, end at most 3
-    bytes.  For 1e-6 < |v| < 1e16, E = floor(log10 |v|) is in [-6, 15], so
-    10^(16 - E) is exact and N = round-half-even(|v| 10^(16 - E)) holds
-    "%.17g"'s 17 digits.  np.log10 can miss E by one, which the exact
-    product hi + lo, against 1e16 and 1e17, corrects; then hi is an even
-    integer above 2^53, so N = hi + rint(lo)."""
+    """b"%.17g" % v + end for each v of the float64 vector x; an end of
+    more than 3 bytes raises ValueError.  For 1e-6 < |v| < 1e16, E =
+    floor(log10 |v|) is in [-6, 15], so 10^(16 - E) is exact and N =
+    round-half-even(|v| 10^(16 - E)) holds "%.17g"'s 17 digits.  np.log10
+    can miss E by one, which the exact product hi + lo, against 1e16 and
+    1e17, corrects; then hi is an even integer above 2^53, so N = hi +
+    rint(lo).  N stays below 10^17: the largest double below each 10^k, k
+    in [-5, 16], lies more than half a unit of N's last digit below it."""
+    if len(end) > 3:
+        raise ValueError(f"end must be at most 3 bytes, got {len(end)}")
     a = np.abs(x)
     cover = len(x) >= _KERNEL_MIN and (a > 1e-6) & (a < 1e16)
     if np.count_nonzero(cover) < _KERNEL_MIN:
@@ -110,24 +112,22 @@ def _fmt17(x: np.ndarray, end: bytes) -> bytes:
         E += high.astype(np.int64) - low
         hi, lo = _scaled(a, 16 - E, pow10)
     N = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    carry = N == 10**17
-    N[carry] = 10**16
-    E += carry
-    # S, four words per entry after one zero word: "0000", "000" + N's
-    # first digit, its other digits by fours, and NUL bytes (quads[-1])
-    G = np.full((len(x), 8), len(quads) - 1)
-    G[:, 0] = 0
-    top, bottom = np.divmod(N, 10**8)
-    G[:, 1], top = np.divmod(top, 10**8)
-    G[:, 2], G[:, 3] = np.divmod(top, 10**4)
-    G[:, 4], G[:, 5] = np.divmod(bottom, 10**4)
-    quad_zeros = trailing.take(G[:, 2:6])
-    zeros = quad_zeros[:, 0]
-    for t in range(1, 4):
-        zeros = quad_zeros[:, t] + (G[:, t + 2] == 0) * zeros
+    # S, one zero word, then per entry "0000", "000" + N's first digit, its
+    # other digits by fours and two NUL words, a column of quads at a time;
+    # N's trailing zeros are counted from its top quad down
+    S = np.zeros(4 * len(x) + 1, "<u8")
+    body = S[1:].view("<u4").reshape(-1, 8)
+    body[:, 0] = quads[0]
+    top = N // 10**8
+    first, bottom = top // 10**8, N - top * 10**8
+    top -= first * 10**8
+    upper, lower = top // 10**4, bottom // 10**4
+    zeros = 0
+    for col, q in enumerate((first, upper, top - upper * 10**4,
+                             lower, bottom - lower * 10**4), 1):
+        quads.take(q, out=body[:, col])
+        zeros = np.where(q == 0, zeros + 4, trailing.take(q))
     key = 17 * (E + 6) + 16 - zeros
-    S = np.zeros(8 * len(x) + 2, "<u4").view("<u8")
-    quads.take(G, out=S[1:].view("<u4").reshape(G.shape))
     word = S[1:]
     rows = (word & keep.take(key, axis=0).ravel()
             | (word << 8 | S[:-1] >> 56) & shift.take(key, axis=0).ravel()

@@ -836,6 +836,21 @@ def test_qr_power_of_two_scaling_is_bitwise(j, seed, shape):
     assert np.array_equal(sp.qr_orthonormal(a * 2.0**j), sp.qr_orthonormal(a))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=300), st.integers(min_value=1, max_value=150),
+       st.integers(min_value=0, max_value=2**32), st.integers(min_value=-900, max_value=900))
+@example(n=4, m=3, seed=0, j=None)  # the zero matrix
+@example(n=300, m=150, seed=3, j=-900)
+def test_qr_rank_check_reads_frobenius_norm(n, m, seed, j):
+    # qr_orthonormal's rank check takes the plain root of the sum of
+    # squares of its prescaled A: at max |A| in [0.5, 1), or A = 0,
+    # frobenius_norm scales by 2^0 and gives the same bits
+    a = np.zeros((n, m)) if j is None else sp.SplitMix64(seed).normal_matrix(n, m) * 2.0**j
+    A = np.ldexp(a, -svdpert.linalg._exponent(a))
+    assert j is None or 0.5 <= np.max(np.abs(A)) < 1.0
+    assert sp.frobenius_norm(A) == float(np.sqrt(np.sum(A * A)))
+
+
 @pytest.mark.parametrize("scale", [1e160, 1e-170, 1e300])
 def test_qr_far_scaled_identity(scale):
     # reflector norms overflowed (or underflowed) here before the prescale

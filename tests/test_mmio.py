@@ -4,6 +4,7 @@ Round-trip fidelity is the core contract: 17 significant digits preserve
 every finite double bitwise, including signed zeros and subnormals.
 """
 
+import itertools
 import math
 import tracemalloc
 
@@ -97,6 +98,29 @@ ULP_NEIGHBOURS = [np.nextafter(10.0**k, d) for k in range(-7, 17) for d in (0.0,
 TIES = [26215 / 2**18, 26217 / 2**18, 1049 / 2**20, 1234567890123456.25]
 
 
+def trailing_zeros_ladder():
+    """For E in a spread of the kernel's exponents and z in [0, 16], a double
+    whose 17-digit mantissa at exponent E ends in exactly z zeros, both
+    signs: the stripped run ends inside every four-digit quad of N and on
+    each quad boundary.  z = 16 has no double at E = -6 and -5: each d
+    10^E, d in [1, 9], prints a nonzero last digit."""
+    ladder = []
+    for e, z in itertools.product((-6, -5, -4, -1, 0, 7, 15), range(17)):
+        if z == 16 and e < -4:
+            continue
+        # the double nearest a (17 - z)-digit decimal keeps its digits at
+        # 17 when it lies within half a unit of the 17th digit
+        for r, last in itertools.product(range(9), "123456789"):
+            digits = ("123456789" * 2)[r:r + 16 - z] + last
+            v = float(f"{digits[0]}.{digits[1:]}e{e}")
+            if ("%.16e" % v).replace(".", "") == f"{digits}{'0' * z}e{e:+03d}":
+                ladder += [v, -v]
+                break
+        else:
+            raise AssertionError(f"no double found for E = {e}, z = {z}")
+    return ladder
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
@@ -111,6 +135,10 @@ TIES = [26215 / 2**18, 26217 / 2**18, 1049 / 2**20, 1234567890123456.25]
           np.nextafter(1e-6, 1.0), 1e-5, 1e-4, -1e-6], CHUNK, 2)
 @example(TIES + [-t for t in TIES], CHUNK - 1, 3)
 @example([1e-300, 0.5, -1e300, 123.0, 0.0, 7e-7, 2.5e16, -3e-5], 1000, 4)
+# N = 10^17 would need a double within half a unit of N's last digit
+# below 10^k: the largest doubles below 10^k are in ULP_NEIGHBOURS, and
+# none rounds up, so the kernel has no carry into E
+@example(trailing_zeros_ladder() + ULP_NEIGHBOURS, CHUNK, 6)
 def test_kernel_matches_percent_pass(tmp_path_factory, values, length, seed):
     # the numpy kernel gives the bytes of "%.17g" for every finite double:
     # the drawn values, repeated to a length around the kernel's threshold
@@ -133,6 +161,17 @@ def test_kernel_matches_percent_pass(tmp_path_factory, values, length, seed):
     sp.write_matrix(f, x.reshape(1, -1))
     want = f"{BANNER}\n1 {length}\n" + percent_pass(x, "\n")
     assert f.read_bytes().split(b"\n") == want.encode().split(b"\n")
+
+
+@pytest.mark.parametrize("length", [KERNEL_MIN - 1, KERNEL_MIN])
+def test_end_longer_than_three_bytes_raises(length):
+    # the kernel writes end into three bytes of each entry's row; the
+    # %-format pass below KERNEL_MIN refuses a longer end all the same
+    x = np.linspace(0.1, 0.9, length)
+    for end in (", ok ", "abcd"):
+        with pytest.raises(ValueError, match="at most 3 bytes"):
+            _fmt_each(x, end)
+    assert _fmt_each(x, "abc") == percent_pass(x, "abc")
 
 
 def test_write_matrix_memory_is_bounded(tmp_path):
