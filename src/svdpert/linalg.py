@@ -36,8 +36,6 @@ QR_RANK_TOL = 1e-13
 _BATCH_MIN_WIDTH = 8
 # _sweep_start's chunks of pairs span up to this many entries (the first 1/16)
 _CHECK_CELLS = 1 << 16
-# Householder QR factors, and applies, its reflectors this many at a time
-_PANEL = 16
 # 2^-k for k < 512, exact; for d >= -511, 2^d and 2^(2d) are normal doubles
 _POW2 = [math.ldexp(1.0, -k) for k in range(512)]
 
@@ -324,58 +322,42 @@ def _preconditioning_qr(A: np.ndarray, pivot: bool):
     power-of-two-scaled form, as frobenius_norm takes its norm, so columns
     graded to 1e+-300 neither overflow nor underflow.  A column already
     zero below the diagonal gets no reflector, so a diagonal matrix is its
-    own R.  Without pivoting, which reads each updated trailing norm, the
-    reflectors of a panel of _PANEL columns update the rest at once.
+    own R.
     """
     Rt = np.array(A.T, dtype=float, order="C")  # a column is a contiguous row
     m, n = Rt.shape
     perm, reflectors = np.arange(m), []
-    width = m if pivot else _PANEL
-    for start in range(0, m, width):
-        end = min(start + width, m)
-        for k in range(start, end):
-            if pivot and k < m - 1:
-                C = Rt[k:, k:]
-                peaks = np.max(np.abs(C), axis=1)
-                _, e = np.frexp(peaks)
-                roots = np.sqrt(np.sum(np.square(np.ldexp(C, -e[:, None])), axis=1))
-                j = k + int(np.argmax(np.ldexp(roots, e - e[peaks.argmax()])))
-                if j != k:
-                    Rt[[k, j]] = Rt[[j, k]]
-                    perm[[k, j]] = perm[[j, k]]
-            x = Rt[k, k:]
-            if not np.count_nonzero(x[1:]):
-                continue
-            e = _exponent(x)
-            v = np.ldexp(x, -e)
-            alpha = -math.copysign(math.sqrt(float(v @ v)), v[0])
-            v[0] -= alpha
-            beta = -1.0 / (alpha * v[0])  # 2 / (v @ v), as v @ v = -2 alpha v[0]
-            Rt[k + 1:end, k:] -= (beta * (Rt[k + 1:end, k:] @ v))[:, None] * v
-            Rt[k, k] = math.ldexp(alpha, e)
-            Rt[k, k + 1:] = 0.0
-            reflectors.append((k, v, beta))
-        if end < m:  # the panel's Q^T, its reflectors last first, on the rest
-            _reflect([r for r in reflectors[::-1] if r[0] >= start], Rt[end:].T)
+    for k in range(m):
+        if pivot and k < m - 1:
+            C = Rt[k:, k:]
+            peaks = np.max(np.abs(C), axis=1)
+            _, e = np.frexp(peaks)
+            roots = np.sqrt(np.sum(np.square(np.ldexp(C, -e[:, None])), axis=1))
+            j = k + int(np.argmax(np.ldexp(roots, e - e[peaks.argmax()])))
+            if j != k:
+                Rt[[k, j]] = Rt[[j, k]]
+                perm[[k, j]] = perm[[j, k]]
+        x = Rt[k, k:]
+        if not np.count_nonzero(x[1:]):
+            continue
+        e = _exponent(x)
+        v = np.ldexp(x, -e)
+        alpha = -math.copysign(math.sqrt(float(v @ v)), v[0])
+        v[0] -= alpha
+        beta = -1.0 / (alpha * v[0])  # 2 / (v @ v), as v @ v = -2 alpha v[0]
+        Rt[k + 1:, k:] -= (beta * (Rt[k + 1:, k:] @ v))[:, None] * v
+        Rt[k, k] = math.ldexp(alpha, e)
+        Rt[k, k + 1:] = 0.0
+        reflectors.append((k, v, beta))
     return Rt[:, :m].T, perm, reflectors
 
 
 def _reflect(reflectors, B: np.ndarray) -> np.ndarray:
     """H_a ... H_b B, in place, for a list of _preconditioning_qr's
-    reflectors (k, v, beta) in any order.  Each _PANEL of them is applied
-    as I - Y^T T Y, row i of Y the i-th v (the compact WY form of
-    Schreiber and Van Loan 1989), T built as LAPACK's dlarft builds it."""
-    for i in reversed(range(0, len(reflectors), _PANEL)):
-        chunk = reflectors[i:i + _PANEL]
-        start = min(k for k, _, _ in chunk)
-        Y = np.zeros((len(chunk), len(B) - start))
-        for j, (k, v, _) in enumerate(chunk):
-            Y[j, k - start:] = v
-        T = np.diag([beta for _, _, beta in chunk])
-        G = Y @ Y.T
-        for j in range(1, len(chunk)):
-            T[:j, j] = -T[j, j] * (T[:j, :j] @ G[:j, j])
-        B[start:] -= Y.T @ (T @ (Y @ B[start:]))
+    reflectors (k, v, beta) in any order, applied one at a time, last
+    first: H = I - beta v v^T acts on rows k and below."""
+    for k, v, beta in reversed(reflectors):
+        B[k:] -= np.outer(v, beta * (v @ B[k:]))
     return B
 
 

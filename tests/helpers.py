@@ -42,11 +42,12 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_child(*args, **kwargs):
+def run_child(*args, env=None, **kwargs):
     """subprocess.run of a fresh interpreter with args, importing svdpert
-    from this checkout's src/, installed or not, and these helpers."""
+    from this checkout's src/, installed or not, and these helpers; env
+    holds variables set over this process's own."""
     path = [str(TESTS.parent / "src"), str(TESTS), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    env = {**os.environ, **(env or {}), "PYTHONPATH": os.pathsep.join(filter(None, path))}
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           timeout=300, env=env, **kwargs)
 

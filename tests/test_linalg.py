@@ -739,7 +739,7 @@ def test_qr_orthogonality_seeded():
 
 @pytest.mark.parametrize("shape", [
     (300, 150), (600, 4), (1, 1),
-    # one panel, one full panel, and one or two columns past a panel
+    # and a spread of narrow widths
     (40, 15), (40, 16), (40, 17), (40, 32), (40, 33),
 ])
 def test_qr_thin_q_against_householder(shape):
@@ -747,8 +747,8 @@ def test_qr_thin_q_against_householder(shape):
     q = sp.qr_orthonormal(a)
     assert q.shape == shape
     assert np.max(np.abs(q.T @ q - np.eye(shape[1]))) <= 1e-13
-    # oracle: svd's own blocked Householder QR, independent of LAPACK,
-    # with the diagonal of R made nonnegative
+    # oracle: svd's own Householder QR, one reflector at a time and
+    # independent of LAPACK, with the diagonal of R made nonnegative
     r_ref, _, reflectors = _preconditioning_qr(a, pivot=False)
     signs = np.sign(np.diag(r_ref))
     q_ref = _reflect(reflectors, np.eye(*shape)) * signs
@@ -782,10 +782,10 @@ def test_qr_rank_deficient_raises():
         sp.qr_orthonormal(a)
 
 
-def test_qr_zero_column_inside_a_panel():
-    # columns 5 (inside the first panel) and 20 (inside the second, after
-    # the first panel's block update) get no reflector and a zero R[k, k],
-    # and the reflectors around the gap still give A = Q R
+def test_qr_zero_columns_get_no_reflector():
+    # columns 5 and 20 are zero and stay zero under the reflectors left of
+    # them: they get no reflector and a zero R[k, k], and the reflectors
+    # around the gaps still give A = Q R
     a = sp.SplitMix64(37).normal_matrix(40, 24)
     a[:, [5, 20]] = 0.0
     R, perm, reflectors = _preconditioning_qr(a, pivot=False)
@@ -801,19 +801,16 @@ def test_qr_zero_column_inside_a_panel():
 @pytest.mark.parametrize("pivot", [False, True])
 @pytest.mark.parametrize("m", [1, 16, 17])
 def test_reflect_applies_the_reflectors_one_by_one(m, pivot):
-    # _PANEL reflectors at a time in compact WY form, against one at a
-    # time; in order (Q B) and last first (Q^T B, the QR's block update)
+    # last first they give Q^T A[:, perm] = [R; 0], in order Q [R; 0] =
+    # A[:, perm]; to 1e-14 |A|, where the errors are near 1e-16 |A|
     n = m + 7
     a = sp.SplitMix64(41 + m).normal_matrix(n, m)
-    _, _, reflectors = _preconditioning_qr(a, pivot=pivot)
+    R, perm, reflectors = _preconditioning_qr(a, pivot=pivot)
     assert len(reflectors) == m
-    # test-only oracle for an orthonormal B, so 1e-15 is a few ulps
-    b = np.linalg.qr(sp.SplitMix64(43 + m).normal_matrix(n, 5))[0]
-    for ordered in (reflectors, reflectors[::-1]):
-        one_by_one = b.copy()
-        for k, v, beta in reversed(ordered):
-            one_by_one[k:] -= np.outer(v, beta * (v @ one_by_one[k:]))
-        assert np.max(np.abs(_reflect(ordered, b.copy()) - one_by_one)) <= 1e-15
+    r0 = np.vstack([R, np.zeros((n - m, m))])
+    tol = 1e-14 * sp.frobenius_norm(a)
+    assert np.max(np.abs(_reflect(reflectors[::-1], a[:, perm]) - r0)) <= tol
+    assert np.max(np.abs(_reflect(reflectors, r0.copy()) - a[:, perm])) <= tol
 
 
 def test_qr_wide_raises():

@@ -40,7 +40,8 @@ def command_list(d):
         # and at 9, where the rungs end at unequal sweeps
         *((0, gen(n, p, geometric_spectrum(p, ratio=0.7), seed, f"{x}{p}.mtx"))
           for n, p in ((40, 20), (30, 9)) for x, seed in (("x", 11), ("e", 12))),
-        # several QR panels per block; three chunks of the %.17g kernel
+        # LAPACK's blocked QR, past its 128-column crossover; twelve
+        # write_matrix blocks of at most 3,900 entries
         (0, gen(300, 150, geometric_spectrum(150, ratio=0.99), 1, "g.mtx")),
         (0, gen(3000, 3, (40, 2, 1e-7), 5, "t.mtx")),
         (0, cmd("expand", "x.mtx", "e.mtx")),
@@ -115,3 +116,20 @@ def test_run_exits_with_the_code_main_returns(runs, tmp_path, code):
     k = next(k for k, (want, _) in enumerate(commands) if want == code)
     proc = run_child("-m", "svdpert", *commands[k][1], cwd=tmp_path)
     assert (proc.returncode, proc.stdout, proc.stderr) == reports[0][0][k]
+
+
+SVD_CHILD = ("import hashlib, svdpert as sp; "
+             "print(*(hashlib.sha256(f.tobytes()).hexdigest() "
+             "for f in sp.svd(sp.SplitMix64(7).normal_matrix(300, 150))))")
+
+
+def test_svd_bytes_do_not_follow_the_blas_thread_count(tmp_path):
+    # svd's QRs take matrix-vector products only: under the Haswell to
+    # Prescott kernels, matrix products on 300 rows split across two
+    # threads sum in another order than on one
+    outputs = []
+    for threads in "12":
+        proc = run_child("-c", SVD_CHILD, cwd=tmp_path, env={"OPENBLAS_NUM_THREADS": threads})
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
